@@ -38,14 +38,26 @@ def _emit(args, doc: dict, human_lines: list[str]) -> None:
             print(line)
 
 
-def _load(path: str):
+def _read_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return core.load_instance(json.load(fh))
+            return json.load(fh)
     except FileNotFoundError:
         raise InputError(f"no such file: {path}") from None
-    except json.JSONDecodeError as exc:
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc.strerror or exc}") from None
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
         raise InputError(f"{path}: not valid JSON ({exc})") from None
+
+
+def _load(path: str):
+    doc = _read_json(path)
+    # the library trusts the shape of its input; a document of the wrong
+    # shape surfaces here as a Python type or value error
+    try:
+        return core.load_instance(doc)
+    except (TypeError, AttributeError, ValueError) as exc:
+        raise InputError(f"{path}: malformed instance ({exc})") from None
 
 
 def _witness_doc(instance, w):
@@ -55,9 +67,11 @@ def _witness_doc(instance, w):
 def _cmd_check(args) -> int:
     instance = _load(args.input)
     if args.verify_cert:
-        with open(args.verify_cert, "r", encoding="utf-8") as fh:
-            cert = json.load(fh)
-        w = detect.witness_from_dict(instance, cert.get("witness", cert))
+        cert = _read_json(args.verify_cert)
+        try:
+            w = detect.witness_from_dict(instance, cert.get("witness", cert))
+        except (TypeError, AttributeError, ValueError) as exc:
+            raise InputError(f"{args.verify_cert}: malformed certificate ({exc})") from None
         ok = detect.verify_witness(instance, w)
         _emit(args, {"command": "check", "certificate_valid": ok},
               [f"certificate: {'valid' if ok else 'INVALID'}"])
@@ -344,7 +358,8 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("input", help="instance JSON file")
         p.add_argument("--json", action="store_true", help="emit JSON on stdout")
         p.add_argument("--max-nodes", type=int, default=detect.DEFAULT_SEARCH_BUDGET,
-                       help="search budget (node expansions)")
+                       help="backtracking budget (node expansions); graph hosts "
+                            "are decided in polynomial time without it")
         p.add_argument("--max-order", type=int, default=linalg.DEFAULT_MAX_DIMENSION_SUM,
                        help="rows+cols guard for exhaustive enumerations")
 

@@ -2,13 +2,16 @@
 subhypergraphs, their mixed analogues, and the resulting unimodularity
 decisions for disjoint instances.
 
-The searches are complete backtracking over vertex sequences and host edges.
-The defining subtlety is that an edge used by a witness must meet the
+On a graph host (every edge or arc has at most two vertices) the odd-cycle
+question is a balance test, and the shortest odd cycle comes from a
+breadth-first search on the parity double cover in polynomial time.  Every
+other search is complete backtracking over vertex sequences and host edges.
+The defining subtlety there is that an edge used by a witness must meet the
 witness's *entire* vertex set in exactly the two vertices it connects; this
 is enforced incrementally (every new vertex is checked against all committed
-edges), so no incomplete shortcut is taken.  Every returned witness passes
-`verify_witness`, a separate straight-line checker that shares no state with
-the search.
+edges), so no incomplete shortcut is taken.  The node budget counts
+backtracking nodes only.  Every returned witness passes `verify_witness`, a
+separate straight-line checker that shares no state with the search.
 """
 
 from __future__ import annotations
@@ -102,21 +105,44 @@ class Decision:
 
 
 class _System:
-    """Host edges as (support, head) bitmasks; unsigned hosts are all-head."""
+    """Host edges as (support, head) bitmasks; unsigned hosts are all-head.
 
-    __slots__ = ("n", "support", "head")
+    `inc[v]` lists the edges whose support contains v in ascending id, so a
+    search that extends a walk at v scans the same edges, in the same order,
+    as a scan over all edges that skips those missing v.
+    """
+
+    __slots__ = ("n", "support", "head", "inc")
 
     def __init__(self, host):
         if isinstance(host, Hypergraph):
             self.n = host.n_vertices
             self.support = list(host.edge_masks)
-            self.head = list(host.edge_masks)
+            self.head = self.support
+            members = host.edges
         elif isinstance(host, MixedHypergraph):
             self.n = host.n_vertices
             self.support = list(host.support_masks)
             self.head = list(host.head_masks)
+            members = [heads + tails for heads, tails in host.arcs]
         else:
             raise InputError(f"expected a hypergraph, got {type(host).__name__}")
+        self.inc = inc = [[] for _ in range(self.n)]
+        for eid, edge in enumerate(members):
+            for v in edge:
+                inc[v].append(eid)
+
+    def is_graph(self) -> bool:
+        return all(sup.bit_count() <= 2 for sup in self.support)
+
+    def cycle_cap(self) -> int:
+        """Upper bound on the length of any cycle in the host.
+
+        A k-cycle uses k distinct edges of size >= 2 and k distinct vertices,
+        each on two of its edges.
+        """
+        return min(sum(1 for sup in self.support if sup & (sup - 1)),
+                   sum(1 for eids in self.inc if len(eids) >= 2))
 
     def pair_parity(self, eid: int, a: int, b: int) -> int:
         """Parity of edge eid restricted to {a, b}: 1 iff both sides agree."""
@@ -126,10 +152,18 @@ class _System:
 
 
 class _Budget:
-    __slots__ = ("left",)
+    """Node budget of one backtracking search.
+
+    `longest` is the most vertices on a path that `_cycles_of_length` has
+    grown.  Every prefix of a cycle is such a path, so once a pass for
+    length k leaves it below k, no cycle of length k or more exists.
+    """
+
+    __slots__ = ("left", "longest")
 
     def __init__(self, nodes: int):
         self.left = nodes
+        self.longest = 0
 
     def spend(self) -> None:
         self.left -= 1
@@ -153,60 +187,152 @@ def _cycles_of_length(sys: _System, k: int, budget: _Budget):
     vertex; for k > 2 direction is fixed by second < last vertex, for k == 2
     by ascending edge ids.
     """
-    m = len(sys.support)
+    support, head, inc = sys.support, sys.head, sys.inc
     for anchor in range(sys.n):
         abit = 1 << anchor
+        above = -(abit << 1)  # vertices > anchor
 
         def grow(vs, ids, umask, forbid, par):
             budget.spend()
             c = vs[-1]
             cbit = 1 << c
             if len(vs) == k:
-                for eid in range(m):
-                    if eid in ids:
-                        continue
-                    if sys.support[eid] & umask != cbit | abit:
+                budget.longest = k
+                if k > 2 and vs[1] > c:
+                    return
+                for eid in inc[c]:
+                    if eid in ids or support[eid] & umask != cbit | abit:
                         continue
                     if k == 2 and eid < ids[0]:
                         continue
-                    if k > 2 and vs[1] > vs[-1]:
-                        continue
-                    yield vs, ids + [eid], par + sys.pair_parity(eid, c, anchor)
+                    h = head[eid]  # _System.pair_parity, inlined on this hot path
+                    yield vs, ids + [eid], par + 1 - ((h >> c ^ h >> anchor) & 1)
                 return
-            for eid in range(m):
-                if eid in ids:
+            for eid in inc[c]:
+                sup = support[eid]
+                if eid in ids or sup & umask != cbit:
                     continue
-                if sys.support[eid] & umask != cbit:
-                    continue
-                avail = sys.support[eid] & ~umask & ~forbid
-                for u in _bits_of(avail):
-                    if u <= anchor:
-                        continue
-                    yield from grow(vs + [u], ids + [eid], umask | (1 << u),
-                                    forbid | sys.support[eid],
-                                    par + sys.pair_parity(eid, c, u))
+                h = head[eid]
+                avail = sup & above & ~umask & ~forbid
+                while avail:
+                    ubit = avail & -avail
+                    avail ^= ubit
+                    u = ubit.bit_length() - 1
+                    yield from grow(vs + [u], ids + [eid], umask | ubit, forbid | sup,
+                                    par + 1 - ((h >> c ^ h >> u) & 1))
 
         yield from grow([anchor], [], abit, 0, 0)
 
 
-def _find_cycle(host, *, odd_parity: bool, lengths, budget_nodes: int):
+def _shortest_odd_closed_walk(sys: _System):
+    """Shortest cycle of odd parity in a graph host, as (vertices, edge_ids).
+
+    Every edge has at most two vertices, so every cycle of the host is a
+    partial subhypergraph, and the shortest odd-parity closed walk is such a
+    cycle: a walk that repeats a vertex splits there into two closed walks,
+    one of them odd and shorter, and a walk over one edge and back has even
+    parity.  For an unsigned host every pair has parity 1, so odd parity
+    means odd length (at least 3); a mixed host may close in two arcs.
+
+    The search runs breadth first on the parity double cover, whose states
+    are (vertex, parity), from each source s over the vertices >= s, so each
+    cycle is seen from its least vertex.  Two BFS paths from (s, 0) that end
+    in (v, q) and (v, 1 - q) close an odd walk through s; on a shortest such
+    walk of length W the middle vertex is reached from both sides within
+    depth W // 2, so a BFS stops once its depth reaches half the best length
+    found.  A BFS that runs out of states without closing any odd walk
+    proves its component among the vertices >= s balanced, and those
+    vertices are not tried as sources.  Bipartite graphs thus cost O(n + m).
+    """
+    n = sys.n
+    adj = [[] for _ in range(n)]
+    for eid, sup in enumerate(sys.support):
+        if sup.bit_count() == 2:
+            a = (sup & -sup).bit_length() - 1
+            b = sup.bit_length() - 1
+            par = sys.pair_parity(eid, a, b)
+            adj[a].append((eid, b, par))
+            adj[b].append((eid, a, par))
+    dist = [-1] * (2 * n)
+    parent = [None] * (2 * n)
+    balanced = bytearray(n)
+    best_len = n + 1
+    best = None
+
+    def path_to(state):
+        vs, ids = [], []
+        while parent[state] is not None:
+            prev, eid = parent[state]
+            vs.append(state >> 1)
+            ids.append(eid)
+            state = prev
+        vs.append(state >> 1)
+        return vs[::-1], ids[::-1]
+
+    for s in range(n):
+        if balanced[s]:
+            continue
+        seen = [2 * s]
+        dist[2 * s] = 0
+        level = [2 * s]
+        depth = 0
+        odd = False
+        while level and 2 * depth < best_len:
+            nxt = []
+            for st in level:
+                p = st & 1
+                for eid, v, par in adj[st >> 1]:
+                    if v < s:
+                        continue
+                    t = 2 * v + (p ^ par)
+                    if dist[t] < 0:
+                        dist[t] = depth + 1
+                        parent[t] = (st, eid)
+                        seen.append(t)
+                        nxt.append(t)
+                    back = dist[t ^ 1]
+                    if back < 0:
+                        continue
+                    odd = True
+                    if depth + 1 + back < best_len:
+                        best_len = depth + 1 + back
+                        vs_a, ids_a = path_to(st)
+                        vs_b, ids_b = path_to(t ^ 1)
+                        best = (vs_a + vs_b[:0:-1], ids_a + [eid] + ids_b[::-1])
+            level = nxt
+            depth += 1
+        component_balanced = not level and not odd
+        for st in seen:
+            if component_balanced:
+                balanced[st >> 1] = 1
+            dist[st] = -1
+            parent[st] = None
+    return None if best is None else (tuple(best[0]), tuple(best[1]))
+
+
+def _find_cycle(host, shortest: int, step: int, budget_nodes: int):
+    """Shortest odd-parity cycle of length shortest, shortest + step, ..."""
     sys = _System(host)
+    if sys.is_graph():
+        return _shortest_odd_closed_walk(sys)
     budget = _Budget(budget_nodes)
-    for k in lengths:
+    for k in range(shortest, sys.cycle_cap() + 1, step):
         for vs, ids, par in _cycles_of_length(sys, k, budget):
-            if (par % 2 == 1) == odd_parity:
+            if par % 2 == 1:
                 return tuple(vs), tuple(ids)
+        if budget.longest < k:
+            break
     return None
 
 
 def find_odd_cycle(g: Hypergraph, max_nodes: int = DEFAULT_SEARCH_BUDGET):
     """Shortest odd cycle in g as a partial subhypergraph, or None.
 
-    Complete backtracking; exceeding the node budget raises, it never
+    Graph hosts are decided by a polynomial parity BFS; other hosts by
+    complete backtracking, where exceeding the node budget raises, it never
     silently reports absence.
     """
-    hit = _find_cycle(g, odd_parity=True, lengths=range(3, g.n_vertices + 1, 2),
-                      budget_nodes=max_nodes)
+    hit = _find_cycle(g, shortest=3, step=2, budget_nodes=max_nodes)
     if hit is None:
         return None
     w = OddCycleWitness(*hit)
@@ -217,8 +343,7 @@ def find_odd_cycle(g: Hypergraph, max_nodes: int = DEFAULT_SEARCH_BUDGET):
 
 def find_mixed_odd_cycle(d: MixedHypergraph, max_nodes: int = DEFAULT_SEARCH_BUDGET):
     """Shortest mixed odd cycle in d, or None; length-2 cycles are legal."""
-    hit = _find_cycle(d, odd_parity=True, lengths=range(2, d.n_vertices + 1),
-                      budget_nodes=max_nodes)
+    hit = _find_cycle(d, shortest=2, step=1, budget_nodes=max_nodes)
     if hit is None:
         return None
     w = MixedOddCycleWitness(*hit)
@@ -231,13 +356,13 @@ def shortest_odd_cycles(g: Hypergraph, max_nodes: int = DEFAULT_SEARCH_BUDGET):
     """All odd cycles of minimum length, in search order (empty if none)."""
     sys = _System(g)
     budget = _Budget(max_nodes)
-    for k in range(3, g.n_vertices + 1, 2):
+    for k in range(3, sys.cycle_cap() + 1, 2):
         found = [
             OddCycleWitness(tuple(vs), tuple(ids))
             for vs, ids, par in _cycles_of_length(sys, k, budget)
             if par % 2 == 1
         ]
-        if found:
+        if found or budget.longest < k:
             return found
     return []
 
@@ -249,17 +374,21 @@ def _tree_house_search(sys: _System, budget: _Budget):
     {root, leaf_i}, so that each path-plus-h cycle is even.  For an all-head
     host this forces every path odd.
     """
-    m = len(sys.support)
-    for hid in range(m):
-        hsup = sys.support[hid]
-        content = list(_bits_of(hsup))
-        if len(content) < 4:
+    inc = sys.inc
+    for hid, hsup in enumerate(sys.support):
+        if hsup.bit_count() < 4:
             continue
+        # each leaf ends its path on an edge other than h, and the root starts
+        # its three paths on three distinct edges other than h; quads and
+        # roots without them are skipped, which leaves the search order as is
+        content = [v for v in _bits_of(hsup) if len(inc[v]) >= 2]
         for quad in itertools.combinations(content, 4):
             qmask = 0
             for v in quad:
                 qmask |= 1 << v
             for root in quad:
+                if len(inc[root]) < 4:
+                    continue
                 leaves = tuple(v for v in quad if v != root)
                 targets = tuple(sys.pair_parity(hid, root, leaf) for leaf in leaves)
                 hit = _grow_paths(sys, budget, hid, hsup, root, leaves, targets,
@@ -276,13 +405,12 @@ def _grow_paths(sys, budget, hid, hsup, root, leaves, targets, vt, forbid,
         return tuple(done_paths), tuple(done_ids)
     leaf = leaves[i]
     lbit = 1 << leaf
-    m = len(sys.support)
 
     def grow(path, ids, vt, forbid, par):
         budget.spend()
         c = path[-1]
         cbit = 1 << c
-        for eid in range(m):
+        for eid in sys.inc[c]:
             if eid == hid or eid in ids or eid in done_used:
                 continue
             trace = sys.support[eid] & vt

@@ -230,8 +230,19 @@ class CamionResult:
 
 
 def _masks_by_size_then_value(n: int):
-    masks = sorted(range(1, 1 << n), key=lambda m: (bin(m).count("1"), m))
-    return masks
+    """Nonempty subsets of range(n) as masks, by popcount, then by value.
+
+    Generated lazily (Gosper's hack steps to the next larger mask of equal
+    popcount), so a caller that stops early never pays for all 2^n masks.
+    """
+    limit = 1 << n
+    for k in range(1, n + 1):
+        mask = (1 << k) - 1
+        while mask < limit:
+            yield mask
+            low = mask & -mask
+            ripple = mask + low
+            mask = ripple | (((mask ^ ripple) >> 2) // low)
 
 
 def _gf2_nullspace(columns: list[int]) -> list[int]:

@@ -162,3 +162,29 @@ def test_selftest_passes():
 def test_no_color_env_respected():
     r = run("selftest")
     assert "\033[" not in r.stdout
+
+
+def _assert_input_error(r):
+    assert r.returncode == 2
+    assert r.stderr.startswith("error:")
+    assert "Traceback" not in r.stderr
+
+
+def test_malformed_instances_are_input_errors(tmp_path):
+    for name, doc in (("arcs-as-lists", {"vertices": ["a", "b"], "arcs": [[["a"], ["b"]]]}),
+                      ("edges-not-a-list", {"vertices": ["a", "b"], "edges": 5})):
+        p = tmp_path / f"{name}.json"
+        p.write_text(json.dumps(doc))
+        _assert_input_error(run("check", str(p)))
+
+
+def test_unreadable_or_malformed_certificate_is_input_error(tmp_path):
+    _assert_input_error(run("check", fixture_path("c3"), "--verify-cert",
+                            str(tmp_path / "missing.json")))
+    _assert_input_error(run("check", fixture_path("c3"), "--verify-cert", str(tmp_path)))
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json")
+    _assert_input_error(run("check", fixture_path("c3"), "--verify-cert", str(bad)))
+    bad.write_text(json.dumps({"kind": "odd-cycle", "vertices": ["a", "b", "c"],
+                               "edge_ids": ["x", 1, 2]}))
+    _assert_input_error(run("check", fixture_path("c3"), "--verify-cert", str(bad)))

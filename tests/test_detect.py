@@ -1,8 +1,13 @@
+import time
+
 import pytest
 
 from tuhyper import core, linalg
 from tuhyper.core import Hypergraph, MixedHypergraph
 from tuhyper.detect import (
+    _Budget,
+    _cycles_of_length,
+    _System,
     MixedOddCycleWitness,
     OddCycleWitness,
     OddTreeHouseWitness,
@@ -203,3 +208,79 @@ def test_size_three_hypergraphs_tu_iff_no_odd_cycle():
         assert tu == (find_odd_cycle(g) is None)
         count += 1
     assert count > 100
+
+
+def _graph_corpus(mixed: bool):
+    """Seeded graphs or signed graphs (every edge of size 2) on 3 to 9 vertices."""
+    for seed in range(300):
+        g, _ = generate(GenConfig(seed=70_000 + seed, n_vertices=3 + seed % 7,
+                                  n_small_edges=seed % 11, proper_edge_sizes=(),
+                                  mixed=mixed))
+        yield g
+
+
+def _exhaustive_odd_cycles(host, lengths):
+    """Every odd-parity cycle of the least length that has one, by backtracking."""
+    sys = _System(host)
+    budget = _Budget(10**7)
+    for k in lengths:
+        found = [(vs, ids) for vs, ids, par in _cycles_of_length(sys, k, budget)
+                 if par % 2 == 1]
+        if found:
+            return found
+    return []
+
+
+def test_graph_fast_path_matches_exhaustive_search_and_brute_force():
+    odd = 0
+    for g in _graph_corpus(mixed=False):
+        w = find_odd_cycle(g)
+        every = shortest_odd_cycles(g)
+        assert (w is None) == (every == [])
+        if w is not None:
+            odd += 1
+            assert verify_witness(g, w)
+            assert len(w.vertices) == len(every[0].vertices)
+            assert set(w.edge_ids) in [set(x.edge_ids) for x in every]
+        decision = decide_unimodular_disjoint(g)
+        assert decision.tu == linalg.is_tu_bruteforce(core.incidence_matrix(g))
+        assert decision.witness == w
+    assert 50 < odd < 250
+
+
+def test_signed_graph_fast_path_matches_exhaustive_search_and_brute_force():
+    odd = 0
+    for d in _graph_corpus(mixed=True):
+        w = find_mixed_odd_cycle(d)
+        every = _exhaustive_odd_cycles(d, range(2, d.n_vertices + 1))
+        assert (w is None) == (every == [])
+        if w is not None:
+            odd += 1
+            assert verify_witness(d, w)
+            assert len(w.vertices) == len(every[0][0])
+            assert set(w.edge_ids) in [set(ids) for _, ids in every]
+        decision = decide_unimodular_mixed_disjoint(d)
+        assert decision.tu == linalg.is_tu_bruteforce(core.incidence_matrix(d))
+        assert decision.witness == w
+    assert 50 < odd < 250
+
+
+def test_graph_hosts_scale_past_the_recursion_limit():
+    n = 1201
+    names = [f"v{i}" for i in range(n)]
+    cycle = Hypergraph.from_names(names, [[names[i], names[(i + 1) % n]] for i in range(n)])
+    d = decide_unimodular_disjoint(cycle)
+    assert not d.tu and len(d.witness.vertices) == n and verify_witness(cycle, d.witness)
+    signed = MixedHypergraph.from_names(
+        names[:-1], [((names[i],), (names[i + 1],)) for i in range(n - 2)]
+        + [((names[0], names[n - 2]), ())])
+    dm = decide_unimodular_mixed_disjoint(signed)
+    assert not dm.tu and len(dm.witness.vertices) == n - 1
+    side = 40
+    cells = [f"{i},{j}" for i in range(side) for j in range(side)]
+    edges = [[f"{i},{j}", f"{i + 1},{j}"] for i in range(side - 1) for j in range(side)]
+    edges += [[f"{i},{j}", f"{i},{j + 1}"] for i in range(side) for j in range(side - 1)]
+    grid = Hypergraph.from_names(cells, edges)
+    start = time.perf_counter()
+    assert decide_unimodular_disjoint(grid).tu
+    assert time.perf_counter() - start < 1.0

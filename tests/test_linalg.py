@@ -170,3 +170,9 @@ def test_camion_mixed_agrees_with_bruteforce_small_corpus():
         if linalg.camion_unimodular_mixed(d).unimodular != want:
             mismatches.append(trial)
     assert mismatches == []
+
+
+def test_subset_masks_come_by_size_then_value():
+    for n in range(13):
+        want = sorted(range(1, 1 << n), key=lambda m: (bin(m).count("1"), m))
+        assert list(linalg._masks_by_size_then_value(n)) == want
