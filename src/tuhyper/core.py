@@ -335,10 +335,18 @@ def load_instance(doc) -> Hypergraph | MixedHypergraph:
         doc = json.loads(text)
     if not isinstance(doc, dict) or "vertices" not in doc:
         raise InputError("instance document must be an object with a 'vertices' key")
+    # a string iterates as one-character names, so it must not pass for a list
+    if isinstance(doc["vertices"], str):
+        raise InputError("'vertices' must be a list of names, not a string")
     if "edges" in doc:
-        return Hypergraph.from_names(doc["vertices"], doc["edges"])
+        edges = doc["edges"]
+        if isinstance(edges, str) or any(isinstance(e, str) for e in edges):
+            raise InputError("'edges' must be a list of lists of names, not strings")
+        return Hypergraph.from_names(doc["vertices"], edges)
     if "arcs" in doc:
         arcs = [(a.get("plus", []), a.get("minus", [])) for a in doc["arcs"]]
+        if any(isinstance(p, str) or isinstance(q, str) for p, q in arcs):
+            raise InputError("arc 'plus' and 'minus' must be lists of names, not strings")
         return MixedHypergraph.from_names(doc["vertices"], arcs)
     raise InputError("instance document needs an 'edges' or 'arcs' key")
 

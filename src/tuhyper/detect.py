@@ -310,9 +310,8 @@ def _shortest_odd_closed_walk(sys: _System):
     return None if best is None else (tuple(best[0]), tuple(best[1]))
 
 
-def _find_cycle(host, shortest: int, step: int, budget_nodes: int):
+def _find_cycle(sys: _System, shortest: int, step: int, budget_nodes: int):
     """Shortest odd-parity cycle of length shortest, shortest + step, ..."""
-    sys = _System(host)
     if sys.is_graph():
         return _shortest_odd_closed_walk(sys)
     budget = _Budget(budget_nodes)
@@ -325,6 +324,16 @@ def _find_cycle(host, shortest: int, step: int, budget_nodes: int):
     return None
 
 
+def _checked(host, kind, phase: str, hit):
+    """Witness of class `kind` from a search hit, re-verified; None for no hit."""
+    if hit is None:
+        return None
+    w = kind(*hit)
+    if not verify_witness(host, w):
+        raise InternalConsistencyError(phase, "search emitted an invalid witness")
+    return w
+
+
 def find_odd_cycle(g: Hypergraph, max_nodes: int = DEFAULT_SEARCH_BUDGET):
     """Shortest odd cycle in g as a partial subhypergraph, or None.
 
@@ -332,24 +341,14 @@ def find_odd_cycle(g: Hypergraph, max_nodes: int = DEFAULT_SEARCH_BUDGET):
     complete backtracking, where exceeding the node budget raises, it never
     silently reports absence.
     """
-    hit = _find_cycle(g, shortest=3, step=2, budget_nodes=max_nodes)
-    if hit is None:
-        return None
-    w = OddCycleWitness(*hit)
-    if not verify_witness(g, w):
-        raise InternalConsistencyError("odd-cycle-search", "search emitted an invalid witness")
-    return w
+    return _checked(g, OddCycleWitness, "odd-cycle-search",
+                    _find_cycle(_System(g), 3, 2, max_nodes))
 
 
 def find_mixed_odd_cycle(d: MixedHypergraph, max_nodes: int = DEFAULT_SEARCH_BUDGET):
     """Shortest mixed odd cycle in d, or None; length-2 cycles are legal."""
-    hit = _find_cycle(d, shortest=2, step=1, budget_nodes=max_nodes)
-    if hit is None:
-        return None
-    w = MixedOddCycleWitness(*hit)
-    if not verify_witness(d, w):
-        raise InternalConsistencyError("mixed-odd-cycle-search", "search emitted an invalid witness")
-    return w
+    return _checked(d, MixedOddCycleWitness, "mixed-odd-cycle-search",
+                    _find_cycle(_System(d), 2, 1, max_nodes))
 
 
 def shortest_odd_cycles(g: Hypergraph, max_nodes: int = DEFAULT_SEARCH_BUDGET):
@@ -438,24 +437,14 @@ def _grow_paths(sys, budget, hid, hsup, root, leaves, targets, vt, forbid,
 
 def find_odd_tree_house(g: Hypergraph, max_nodes: int = DEFAULT_SEARCH_BUDGET):
     """First odd tree house in g as a partial subhypergraph, or None."""
-    hit = _tree_house_search(_System(g), _Budget(max_nodes))
-    if hit is None:
-        return None
-    w = OddTreeHouseWitness(*hit)
-    if not verify_witness(g, w):
-        raise InternalConsistencyError("tree-house-search", "search emitted an invalid witness")
-    return w
+    return _checked(g, OddTreeHouseWitness, "tree-house-search",
+                    _tree_house_search(_System(g), _Budget(max_nodes)))
 
 
 def find_mixed_odd_tree_house(d: MixedHypergraph, max_nodes: int = DEFAULT_SEARCH_BUDGET):
     """First mixed odd tree house in d as a partial subhypergraph, or None."""
-    hit = _tree_house_search(_System(d), _Budget(max_nodes))
-    if hit is None:
-        return None
-    w = MixedOddTreeHouseWitness(*hit)
-    if not verify_witness(d, w):
-        raise InternalConsistencyError("mixed-tree-house-search", "search emitted an invalid witness")
-    return w
+    return _checked(d, MixedOddTreeHouseWitness, "mixed-tree-house-search",
+                    _tree_house_search(_System(d), _Budget(max_nodes)))
 
 
 # ---------------------------------------------------------------------------
@@ -628,9 +617,11 @@ def decide_unimodular_disjoint(g: Hypergraph,
                                max_nodes: int = DEFAULT_SEARCH_BUDGET) -> Decision:
     """TU decision for a disjoint hypergraph via forbidden-structure search."""
     _require_disjoint(g)
-    w = find_odd_cycle(g, max_nodes)
+    sys = _System(g)
+    w = _checked(g, OddCycleWitness, "odd-cycle-search", _find_cycle(sys, 3, 2, max_nodes))
     if w is None:
-        w = find_odd_tree_house(g, max_nodes)
+        w = _checked(g, OddTreeHouseWitness, "tree-house-search",
+                     _tree_house_search(sys, _Budget(max_nodes)))
     return Decision(tu=w is None, witness=w)
 
 
@@ -638,9 +629,12 @@ def decide_unimodular_mixed_disjoint(d: MixedHypergraph,
                                      max_nodes: int = DEFAULT_SEARCH_BUDGET) -> Decision:
     """TU decision for a disjoint mixed hypergraph via native mixed search."""
     _require_disjoint(d)
-    w = find_mixed_odd_cycle(d, max_nodes)
+    sys = _System(d)
+    w = _checked(d, MixedOddCycleWitness, "mixed-odd-cycle-search",
+                 _find_cycle(sys, 2, 1, max_nodes))
     if w is None:
-        w = find_mixed_odd_tree_house(d, max_nodes)
+        w = _checked(d, MixedOddTreeHouseWitness, "mixed-tree-house-search",
+                     _tree_house_search(sys, _Budget(max_nodes)))
     return Decision(tu=w is None, witness=w)
 
 

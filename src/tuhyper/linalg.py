@@ -3,18 +3,20 @@ brute-force TU / almost-TU tests, and both unimodularity criteria based on
 support counts of Eulerian partial subhypergraphs.
 
 Everything here is exact.  Single determinants use fraction-free elimination
-over Python integers (no overflow ever); the batched enumeration path uses
-the same elimination in int64, guarded by a Hadamard bound check.
+over Python integers (no overflow ever).  Enumerations of all minors build
+order k from order k - 1 by Laplace expansion over row and column subsets,
+in int64 under a checked Hadamard bound.
 """
 
 from __future__ import annotations
 
-import itertools
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Hypergraph, MixedHypergraph, SubSelection, incidence_matrix
+from .core import Hypergraph, MixedHypergraph, SubSelection
 from .errors import InputError, SizeGuardError
 
 __all__ = [
@@ -34,8 +36,6 @@ __all__ = [
 # Exhaustive submatrix enumeration is exponential; reject inputs whose
 # rows+cols exceed this unless the caller raises the guard explicitly.
 DEFAULT_MAX_DIMENSION_SUM = 22
-
-_CHUNK_CELLS = 4_000_000  # max int64 cells per enumeration batch
 
 
 def det_exact(m) -> int:
@@ -67,9 +67,9 @@ def det_exact(m) -> int:
 def batch_det_exact(mats: np.ndarray) -> np.ndarray:
     """Exact determinants of a stack of small integer matrices.
 
-    Fraction-free elimination; intermediate entries are minors of the input,
-    so int64 arithmetic is exact as long as the Hadamard bound fits (the
-    caller is responsible for that; every guard in this module implies it).
+    Fraction-free elimination in int64.  Entries are minors of the input,
+    but each step multiplies two of them before the exact division, so the
+    caller must keep twice the square of the Hadamard bound below 2^63.
     """
     a = np.array(mats, dtype=np.int64, copy=True)
     b, n, n2 = a.shape
@@ -108,28 +108,77 @@ def _check_guard(m: np.ndarray, max_dimension_sum: int) -> None:
             f"desk-scale exceeded: matrix has rows+cols = {rows + cols} > "
             f"{max_dimension_sum}; raise max_dimension_sum to force the enumeration"
         )
-    # int64 exactness for the batched path: Hadamard bound over any submatrix.
-    norms = np.sqrt((np.asarray(m, dtype=np.float64) ** 2).sum(axis=0))
+    # int64 exactness of `_minors`: every minor of every order is at most the
+    # Hadamard bound H (the min(rows, cols) largest column norms, each taken
+    # as at least 1).  One step of the recurrence adds the terms
+    # +-m[r, c] * minor over rows r of one column c, so every term and every
+    # partial sum is at most ||col c||_1 * H.  Keeping that product below
+    # 2^62 leaves a factor of two below 2^63 for the rounding of the floats.
+    a = np.abs(np.asarray(m, dtype=np.float64))
+    norms = np.sqrt((a * a).sum(axis=0))
     bound = np.prod(np.sort(norms)[::-1][: min(rows, cols)].clip(min=1.0))
-    if bound >= 2.0**62:
+    col_l1 = a.sum(axis=0).max(initial=1.0)
+    if bound * col_l1 >= 2.0**62:
         raise SizeGuardError("entries too large for exact int64 enumeration")
 
 
-def _subdet_batches(m: np.ndarray, order: int):
-    """Yield (row_sets, col_sets, dets) for all order x order submatrices.
+@functools.lru_cache(maxsize=256)
+def _subsets(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Size-k subsets of range(n) in `itertools.combinations` order.
 
-    Row subsets iterate lexicographically in the outer loop and column
-    subsets in the inner one, so the concatenated stream is in lexicographic
-    (rows, cols) order; witnesses derived from the first hit are canonical.
+    Returns (sets, drop): row a of the C(n, k) x k array `sets` is the a-th
+    subset, ascending; drop[i, a] is the position of that subset without its
+    i-th element in the size-(k - 1) list, so drop[k - 1] maps each subset
+    to the one it extends.
     """
-    rows = np.array(list(itertools.combinations(range(m.shape[0]), order)), dtype=np.intp)
-    cols = np.array(list(itertools.combinations(range(m.shape[1]), order)), dtype=np.intp)
-    row_chunk = max(1, _CHUNK_CELLS // max(1, len(cols) * order * order))
-    for start in range(0, len(rows), row_chunk):
-        rsub = rows[start : start + row_chunk]
-        sub = m[rsub[:, None, :, None], cols[None, :, None, :]]
-        dets = batch_det_exact(sub.reshape(-1, order, order))
-        yield rsub, cols, dets.reshape(len(rsub), len(cols))
+    if k == 0:
+        return np.zeros((1, 0), dtype=np.intp), np.zeros((0, 1), dtype=np.intp)
+    prev, _ = _subsets(n, k - 1)
+    last = prev[:, -1] if k > 1 else np.full(1, -1, dtype=np.intp)
+    counts = n - 1 - last  # each subset extends by every larger element, in order
+    parent = np.repeat(np.arange(len(prev)), counts)
+    offset = np.arange(len(parent)) - np.repeat(np.cumsum(counts) - counts, counts)
+    sets = np.column_stack([prev[parent], np.repeat(last + 1, counts) + offset])
+    # the lexicographic rank of a size-(k-1) subset s of range(n) is
+    # C(n, k-1) - 1 - sum_j C(n - 1 - s_j, k - 1 - j)
+    binom = np.array([math.comb(a, b) for a in range(n) for b in range(k)],
+                     dtype=np.intp).reshape(n, k)
+    weights = np.arange(k - 1, 0, -1)
+    drop = np.empty((k, len(sets)), dtype=np.intp)
+    for i in range(k):
+        rest = np.delete(sets, i, axis=1)
+        drop[i] = math.comb(n, k - 1) - 1 - binom[n - 1 - rest, weights].sum(axis=1)
+    sets.setflags(write=False)
+    drop.setflags(write=False)
+    return sets, drop
+
+
+def _minors(m: np.ndarray, top: int):
+    """Yield (row_sets, col_sets, dets) for the orders 1, 2, ..., top.
+
+    dets[a, b] is the minor on rows row_sets[a] and columns col_sets[b];
+    both axes are in lexicographic order, so the first hit of a flat argmax
+    is the canonical (lexicographic rows, then columns) witness.  Order k
+    comes from order k - 1 by Laplace expansion along the largest selected
+    column c:  det(R, C) = sum_i (-1)^(i + k - 1) m[R_i, c] det(R - R_i, C - c),
+    k multiply-adds on whole arrays per order.  `_check_guard` keeps it
+    exact in int64.
+    """
+    prev = np.ones((1, 1), dtype=np.int64)
+    for k in range(1, top + 1):
+        rows, drop = _subsets(m.shape[0], k)
+        cols, col_drop = _subsets(m.shape[1], k)
+        sub = prev[:, col_drop[k - 1]]  # minors without the largest column
+        last = m[:, cols[:, -1]]  # entries of the largest column
+        dets = np.zeros((len(rows), len(cols)), dtype=np.int64)
+        for i in range(k):
+            term = last[rows[:, i]] * sub[drop[i]]
+            if (i + k - 1) % 2:
+                dets -= term
+            else:
+                dets += term
+        yield rows, cols, dets
+        prev = dets
 
 
 @dataclass(frozen=True)
@@ -155,14 +204,12 @@ def max_abs_subdet(m, cap: int | None = None,
     top = min(m.shape)
     if cap is not None:
         top = min(top, cap)
-    for order in range(1, top + 1):
-        for rsub, cols, dets in _subdet_batches(m, order):
-            mags = np.abs(dets)
-            local = int(mags.max())
-            if local > best.delta:
-                i, j = np.unravel_index(int(np.argmax(mags == local)), mags.shape)
-                best = DeltaResult(local, tuple(int(r) for r in rsub[i]),
-                                   tuple(int(c) for c in cols[j]))
+    for rows, cols, dets in _minors(m, top):
+        mags = np.abs(dets)
+        i, j = divmod(int(np.argmax(mags)), mags.shape[1])
+        if mags[i, j] > best.delta:
+            best = DeltaResult(int(mags[i, j]), tuple(rows[i].tolist()),
+                               tuple(cols[j].tolist()))
     return best
 
 
@@ -173,16 +220,11 @@ def tu_violation(m, max_dimension_sum: int = DEFAULT_MAX_DIMENSION_SUM):
     """
     m = np.asarray(m, dtype=np.int64)
     _check_guard(m, max_dimension_sum)
-    for order in range(1, min(m.shape) + 1):
-        for rsub, cols, dets in _subdet_batches(m, order):
-            bad = np.abs(dets) >= 2
-            if bad.any():
-                i, j = np.unravel_index(int(np.argmax(bad)), bad.shape)
-                return (
-                    tuple(int(r) for r in rsub[i]),
-                    tuple(int(c) for c in cols[j]),
-                    int(dets[i, j]),
-                )
+    for rows, cols, dets in _minors(m, min(m.shape)):
+        bad = np.abs(dets) >= 2
+        if bad.any():
+            i, j = divmod(int(np.argmax(bad)), bad.shape[1])
+            return tuple(rows[i].tolist()), tuple(cols[j].tolist()), int(dets[i, j])
     return None
 
 
@@ -203,11 +245,11 @@ def is_almost_tu(m, max_dimension_sum: int = DEFAULT_MAX_DIMENSION_SUM) -> bool:
     rows, cols = m.shape
     if rows != cols or rows == 0:
         return False
-    for order in range(1, rows):
-        for _, _, dets in _subdet_batches(m, order):
-            if (np.abs(dets) >= 2).any():
-                return False
-    return abs(det_exact(m)) >= 2
+    for order, (_, _, dets) in enumerate(_minors(m, rows), start=1):
+        if order == rows:
+            return abs(int(dets[0, 0])) >= 2
+        if (np.abs(dets) >= 2).any():
+            return False
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +402,3 @@ def camion_unimodular_mixed(d: MixedHypergraph, max_vertices: int = 16) -> Camio
             return CamionResult(False, sel, total)
     return CamionResult(True, None, None)
 
-
-def incidence_tu(g, max_dimension_sum: int = DEFAULT_MAX_DIMENSION_SUM) -> bool:
-    """Brute-force TU check straight from a (mixed) hypergraph."""
-    return is_tu_bruteforce(incidence_matrix(g), max_dimension_sum)

@@ -23,7 +23,10 @@ def _report(num, text):
 
 
 def _run_cli(*args):
-    env = dict(os.environ, TUHYPER_NO_COLOR="1")
+    # the CLI runs from the source tree of the package imported here
+    src = os.path.dirname(os.path.dirname(core.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, TUHYPER_NO_COLOR="1", PYTHONPATH=path)
     return subprocess.run([sys.executable, "-m", "tuhyper.cli", *args],
                           capture_output=True, text=True, env=env)
 

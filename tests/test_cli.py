@@ -13,7 +13,10 @@ SCHEMA = json.loads(FIXDIR.joinpath("output_schema.json").read_text())
 
 
 def run(*args, **kw):
-    env = dict(os.environ, TUHYPER_NO_COLOR="1")
+    # the CLI runs from the source tree of the package imported here
+    src = os.path.dirname(os.path.dirname(core.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, TUHYPER_NO_COLOR="1", PYTHONPATH=path)
     return subprocess.run([sys.executable, "-m", "tuhyper.cli", *args],
                           capture_output=True, text=True, env=env, **kw)
 
@@ -171,8 +174,21 @@ def _assert_input_error(r):
 
 
 def test_malformed_instances_are_input_errors(tmp_path):
+    # a string in place of a list would load as one-character names
     for name, doc in (("arcs-as-lists", {"vertices": ["a", "b"], "arcs": [[["a"], ["b"]]]}),
-                      ("edges-not-a-list", {"vertices": ["a", "b"], "edges": 5})):
+                      ("edges-not-a-list", {"vertices": ["a", "b"], "edges": 5}),
+                      ("vertices-string", {"vertices": "abc",
+                                           "edges": [["a", "b"], ["b", "c"], ["a", "c"]]}),
+                      ("edges-strings", {"vertices": ["a", "b", "c"],
+                                         "edges": ["ab", "bc", "ca"]}),
+                      ("edges-string", {"vertices": ["a", "b", "c"], "edges": "abc"}),
+                      ("arc-plus-string", {"vertices": ["a", "b", "c"],
+                                           "arcs": [{"plus": "ab"}, {"plus": ["b", "c"]},
+                                                    {"plus": ["a", "c"]}]}),
+                      ("arc-minus-string", {"vertices": ["a", "b", "c"],
+                                            "arcs": [{"plus": ["a"], "minus": "b"},
+                                                     {"plus": ["b", "c"]},
+                                                     {"plus": ["a", "c"]}]})):
         p = tmp_path / f"{name}.json"
         p.write_text(json.dumps(doc))
         _assert_input_error(run("check", str(p)))

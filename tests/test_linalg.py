@@ -1,3 +1,6 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 
@@ -176,3 +179,98 @@ def test_subset_masks_come_by_size_then_value():
     for n in range(13):
         want = sorted(range(1, 1 << n), key=lambda m: (bin(m).count("1"), m))
         assert list(linalg._masks_by_size_then_value(n)) == want
+
+
+def _random_matrix(rng, rows, cols, lo, hi):
+    m = np.array([[lo + rng.randrange(hi - lo + 1) for _ in range(cols)]
+                  for _ in range(rows)], dtype=np.int64).reshape(rows, cols)
+    if rows and rng.randrange(3) == 0:
+        m[rng.randrange(rows)] = 0
+    if cols and rng.randrange(3) == 0:
+        m[:, rng.randrange(cols)] = 0
+    return m
+
+
+def _minors_in_scan_order(m, top):
+    """(rows, cols, det) over every square submatrix up to order top, by
+    ascending order, then lexicographic rows, then lexicographic columns."""
+    rows, cols = m.shape
+    for k in range(1, top + 1):
+        for rs in itertools.combinations(range(rows), k):
+            for cs in itertools.combinations(range(cols), k):
+                yield rs, cs, det_cofactor(m[np.ix_(rs, cs)])
+
+
+def _seeded_matrices(seed, count):
+    rng = Xoshiro256StarStar(seed)
+    for _ in range(count):
+        rows, cols = rng.randrange(7), rng.randrange(7)
+        lo = -1 - rng.randrange(2)
+        yield _random_matrix(rng, rows, cols, lo, -lo)
+
+
+def test_max_abs_subdet_witness_is_first_maximiser():
+    for t, m in enumerate(_seeded_matrices(61, 150)):
+        for cap in (None, 1, 2, 3):
+            top = min(m.shape) if cap is None else min(min(m.shape), cap)
+            minors = list(_minors_in_scan_order(m, top))
+            delta = max((abs(d) for _, _, d in minors), default=0)
+            want = next(((rs, cs) for rs, cs, d in minors if abs(d) == delta and delta),
+                        ((), ()))
+            got = linalg.max_abs_subdet(m, cap=cap)
+            assert (got.delta, (got.rows, got.cols)) == (delta, want), (t, cap, m)
+
+
+def test_tu_violation_witness_is_first_violation():
+    for t, m in enumerate(_seeded_matrices(62, 150)):
+        want = next(((rs, cs, d) for rs, cs, d in _minors_in_scan_order(m, min(m.shape))
+                     if abs(d) >= 2), None)
+        assert linalg.tu_violation(m) == want, (t, m)
+        assert linalg.is_tu_bruteforce(m) == (want is None)
+
+
+def test_is_almost_tu_matches_definition():
+    def tu(a):
+        return all(abs(d) <= 1 for _, _, d in _minors_in_scan_order(a, min(a.shape)))
+
+    rng = Xoshiro256StarStar(63)
+    seen = 0
+    for t in range(300):
+        rows = rng.randrange(5)
+        cols = rows if t % 4 else rng.randrange(5)
+        m = _random_matrix(rng, rows, cols, -1, 1)
+        # every proper submatrix lies inside one with a row or a column deleted
+        want = not tu(m) and all(tu(np.delete(m, i, axis=0)) for i in range(m.shape[0])) \
+            and all(tu(np.delete(m, j, axis=1)) for j in range(m.shape[1]))
+        assert linalg.is_almost_tu(m) == want, (t, m)
+        seen += want
+    assert seen > 0
+
+
+def test_large_entries_are_exact_or_refused():
+    rng = Xoshiro256StarStar(64)
+    exact = refused = 0
+    for _ in range(120):
+        rows, cols = 1 + rng.randrange(4), 1 + rng.randrange(4)
+        # entries of +-2^bits put ||col||_1 times the Hadamard bound near 2^62
+        # or, on the larger draws, minors beyond 2^63
+        k = min(rows, cols)
+        bits = (62 - math.log2(rows) * (k / 2 + 1)) / (k + 1)
+        bits = int(bits) + rng.randrange(10) - 1
+        m = _random_matrix(rng, rows, cols, -1, 1) << bits
+        try:
+            got = linalg.max_abs_subdet(m)
+            violation = linalg.tu_violation(m)
+        except SizeGuardError:
+            refused += 1
+            continue
+        exact += 1
+        minors = list(_minors_in_scan_order(m, min(m.shape)))
+        delta = max((abs(d) for _, _, d in minors), default=0)
+        assert got.delta == delta
+        if delta:
+            assert abs(linalg.det_exact(m[np.ix_(got.rows, got.cols)])) == delta
+            assert (got.rows, got.cols) == next((rs, cs) for rs, cs, d in minors
+                                                if abs(d) == delta)
+        assert violation == next(((rs, cs, d) for rs, cs, d in minors if abs(d) >= 2), None)
+    assert exact > 10 and refused > 10
