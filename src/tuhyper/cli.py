@@ -77,24 +77,14 @@ def _cmd_check(args) -> int:
               [f"certificate: {'valid' if ok else 'INVALID'}"])
         return 0 if ok else 1
     disjoint = core.is_disjoint(instance)
-    if isinstance(instance, core.MixedHypergraph):
-        if args.disjoint or disjoint:
-            decision = detect.decide_unimodular_mixed_disjoint(instance, args.max_nodes)
-            method = "forbidden-structure"
-        else:
-            decision = detect.Decision(
-                tu=linalg.is_tu_bruteforce(core.incidence_matrix(instance), args.max_order)
-            )
-            method = "bruteforce"
+    if args.disjoint or disjoint:
+        decision = detect._decide(instance, args.max_nodes)
+        method = "forbidden-structure"
     else:
-        if args.disjoint or disjoint:
-            decision = detect.decide_unimodular_disjoint(instance, args.max_nodes)
-            method = "forbidden-structure"
-        else:
-            decision = detect.Decision(
-                tu=linalg.is_tu_bruteforce(core.incidence_matrix(instance), args.max_order)
-            )
-            method = "bruteforce"
+        decision = detect.Decision(
+            tu=linalg.is_tu_bruteforce(core.incidence_matrix(instance), args.max_order)
+        )
+        method = "bruteforce"
     doc = {
         "command": "check",
         "tu": decision.tu,
@@ -126,17 +116,8 @@ def _cmd_delta(args) -> int:
 
 def _cmd_detect(args) -> int:
     instance = _load(args.input)
-    w = None
-    if isinstance(instance, core.MixedHypergraph):
-        if args.kind in ("any", "odd-cycle"):
-            w = detect.find_mixed_odd_cycle(instance, args.max_nodes)
-        if w is None and args.kind in ("any", "tree-house"):
-            w = detect.find_mixed_odd_tree_house(instance, args.max_nodes)
-    else:
-        if args.kind in ("any", "odd-cycle"):
-            w = detect.find_odd_cycle(instance, args.max_nodes)
-        if w is None and args.kind in ("any", "tree-house"):
-            w = detect.find_odd_tree_house(instance, args.max_nodes)
+    w = detect._search(instance, args.max_nodes, cycle=args.kind != "tree-house",
+                       tree_house=args.kind != "odd-cycle")
     doc = {"command": "detect", "found": w is not None,
            "witness": _witness_doc(instance, w)}
     _emit(args, doc, [f"found: {doc['found']}"]

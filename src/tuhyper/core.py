@@ -44,6 +44,16 @@ def _mask(vertex_ids) -> int:
     return m
 
 
+def _name_index(vertices) -> tuple[tuple[str, ...], dict[str, int]]:
+    names = tuple(vertices)
+    if not {str}.issuperset(map(type, names)):
+        raise InputError("vertex names must be strings")
+    index = {nm: i for i, nm in enumerate(names)}
+    if len(index) != len(names):
+        raise InputError("vertex names must be unique")
+    return names, index
+
+
 def _bits(mask: int):
     while mask:
         low = mask & -mask
@@ -102,16 +112,14 @@ class Hypergraph:
 
     @classmethod
     def from_names(cls, vertices, edges) -> "Hypergraph":
-        names = tuple(str(v) for v in vertices)
-        index = {nm: i for i, nm in enumerate(names)}
-        if len(index) != len(names):
-            raise InputError("vertex names must be unique")
+        names, index = _name_index(vertices)
         out = []
         for edge in edges:
+            # every name is a string, so a member that is not one is unknown
             try:
-                ids = sorted({index[str(v)] for v in edge})
-            except KeyError as exc:
-                raise InputError(f"edge {edge!r} references unknown vertex {exc}") from None
+                ids = sorted({index[v] for v in edge})
+            except (KeyError, TypeError):
+                raise InputError(f"edge {edge!r} references an unknown vertex") from None
             out.append(tuple(ids))
         return cls(names, tuple(out))
 
@@ -180,17 +188,14 @@ class MixedHypergraph:
 
     @classmethod
     def from_names(cls, vertices, arcs) -> "MixedHypergraph":
-        names = tuple(str(v) for v in vertices)
-        index = {nm: i for i, nm in enumerate(names)}
-        if len(index) != len(names):
-            raise InputError("vertex names must be unique")
+        names, index = _name_index(vertices)
         out = []
         for heads, tails in arcs:
             try:
-                s = tuple(sorted({index[str(v)] for v in heads}))
-                t = tuple(sorted({index[str(v)] for v in tails}))
-            except KeyError as exc:
-                raise InputError(f"arc references unknown vertex {exc}") from None
+                s = tuple(sorted({index[v] for v in heads}))
+                t = tuple(sorted({index[v] for v in tails}))
+            except (KeyError, TypeError):
+                raise InputError(f"arc {(heads, tails)!r} references an unknown vertex") from None
             out.append((s, t))
         return cls(names, tuple(out))
 
@@ -326,7 +331,12 @@ FIXTURE_NAMES = ("fig1", "fig2", "fig4-left", "fig4-right", "fig5", "c3", "c4", 
 
 
 def load_instance(doc) -> Hypergraph | MixedHypergraph:
-    """Parse an instance from a JSON document (dict, JSON string, or path)."""
+    """Parse an instance from a JSON document (dict, JSON string, or path).
+
+    Vertex names are strings, and a document has exactly one of the lists
+    'edges' and 'arcs'; `from_names` rejects members that are not listed
+    names.
+    """
     if isinstance(doc, (str, bytes)):
         text = doc
         if isinstance(doc, str) and not doc.lstrip().startswith("{"):
@@ -335,20 +345,25 @@ def load_instance(doc) -> Hypergraph | MixedHypergraph:
         doc = json.loads(text)
     if not isinstance(doc, dict) or "vertices" not in doc:
         raise InputError("instance document must be an object with a 'vertices' key")
-    # a string iterates as one-character names, so it must not pass for a list
-    if isinstance(doc["vertices"], str):
-        raise InputError("'vertices' must be a list of names, not a string")
-    if "edges" in doc:
-        edges = doc["edges"]
-        if isinstance(edges, str) or any(isinstance(e, str) for e in edges):
+    if ("edges" in doc) == ("arcs" in doc):
+        raise InputError("instance document needs exactly one of 'edges' and 'arcs'")
+    key = "edges" if "edges" in doc else "arcs"
+    # a string or an object iterates as names, so it must not pass for a list
+    if not (isinstance(doc["vertices"], (list, tuple)) and isinstance(doc[key], (list, tuple))):
+        raise InputError(f"'vertices' and '{key}' must be lists")
+    if key == "edges":
+        if any(isinstance(e, str) for e in doc["edges"]):
             raise InputError("'edges' must be a list of lists of names, not strings")
-        return Hypergraph.from_names(doc["vertices"], edges)
-    if "arcs" in doc:
-        arcs = [(a.get("plus", []), a.get("minus", [])) for a in doc["arcs"]]
-        if any(isinstance(p, str) or isinstance(q, str) for p, q in arcs):
+        return Hypergraph.from_names(doc["vertices"], doc["edges"])
+    arcs = []
+    for a in doc["arcs"]:
+        if not isinstance(a, dict):
+            raise InputError("each arc must be an object with 'plus' and 'minus' lists")
+        plus, minus = a.get("plus", []), a.get("minus", [])
+        if isinstance(plus, str) or isinstance(minus, str):
             raise InputError("arc 'plus' and 'minus' must be lists of names, not strings")
-        return MixedHypergraph.from_names(doc["vertices"], arcs)
-    raise InputError("instance document needs an 'edges' or 'arcs' key")
+        arcs.append((plus, minus))
+    return MixedHypergraph.from_names(doc["vertices"], arcs)
 
 
 def instance_to_dict(g) -> dict:

@@ -2,6 +2,13 @@
 subhypergraphs, their mixed analogues, and the resulting unimodularity
 decisions for disjoint instances.
 
+An unsigned hypergraph is the all-head case of a mixed one, and one code
+path serves both.  A table keyed by host type (`_KINDS`) gives the witness
+classes, the cycle lengths to search (3, 5, ... unsigned; 2, 3, ... mixed)
+and the phase names; the public finders and deciders are uses of it.  The
+searches run over (support, head) bitmasks, and the certificate checker
+over one restricted-parity function, which is 1 on every unsigned edge.
+
 On a graph host (every edge or arc has at most two vertices) the odd-cycle
 question is a balance test, and the shortest odd cycle comes from a
 breadth-first search on the parity double cover in polynomial time.  Every
@@ -18,8 +25,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import NamedTuple
 
-from .core import Hypergraph, MixedHypergraph, overlapping_proper_edges
+from .core import Hypergraph, MixedHypergraph, _bits, overlapping_proper_edges
 from .errors import (
     BudgetExceededError,
     InputError,
@@ -99,6 +107,27 @@ class Decision:
     witness: object | None = None
 
 
+class _Kind(NamedTuple):
+    """What the searches look for in one host type (see the module docstring)."""
+
+    cycle: type
+    tree_house: type
+    shortest: int  # least cycle length searched
+    step: int  # between the cycle lengths searched
+    cycle_phase: str
+    tree_house_phase: str
+
+
+_KINDS = {
+    Hypergraph: _Kind(OddCycleWitness, OddTreeHouseWitness, 3, 2,
+                      "odd-cycle-search", "tree-house-search"),
+    MixedHypergraph: _Kind(MixedOddCycleWitness, MixedOddTreeHouseWitness, 2, 1,
+                           "mixed-odd-cycle-search", "mixed-tree-house-search"),
+}
+_WITNESS_CLASSES = {cls.kind: cls for kind in _KINDS.values()
+                    for cls in (kind.cycle, kind.tree_house)}
+
+
 # ---------------------------------------------------------------------------
 # Edge systems: one search core for unsigned and mixed hosts
 # ---------------------------------------------------------------------------
@@ -116,17 +145,15 @@ class _System:
 
     def __init__(self, host):
         if isinstance(host, Hypergraph):
-            self.n = host.n_vertices
-            self.support = list(host.edge_masks)
-            self.head = self.support
+            self.support = self.head = list(host.edge_masks)
             members = host.edges
         elif isinstance(host, MixedHypergraph):
-            self.n = host.n_vertices
             self.support = list(host.support_masks)
             self.head = list(host.head_masks)
             members = [heads + tails for heads, tails in host.arcs]
         else:
             raise InputError(f"expected a hypergraph, got {type(host).__name__}")
+        self.n = host.n_vertices
         self.inc = inc = [[] for _ in range(self.n)]
         for eid, edge in enumerate(members):
             for v in edge:
@@ -171,13 +198,6 @@ class _Budget:
             raise BudgetExceededError(
                 "search budget exhausted; raise max_nodes to continue the exact search"
             )
-
-
-def _bits_of(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def _cycles_of_length(sys: _System, k: int, budget: _Budget):
@@ -324,11 +344,28 @@ def _find_cycle(sys: _System, shortest: int, step: int, budget_nodes: int):
     return None
 
 
-def _checked(host, kind, phase: str, hit):
-    """Witness of class `kind` from a search hit, re-verified; None for no hit."""
+def _search(host, max_nodes: int, kind: _Kind | None = None, *, cycle: bool = True,
+            tree_house: bool = True):
+    """A shortest odd cycle in host, else its first odd tree house, each
+    re-verified; None when the phases run find neither.  `kind` defaults to
+    the table entry of the host's type."""
+    sys = _System(host)
+    kind = kind or _KINDS[type(host)]
+    w = None
+    if cycle:
+        w = _checked(host, kind.cycle, kind.cycle_phase,
+                     _find_cycle(sys, kind.shortest, kind.step, max_nodes))
+    if w is None and tree_house:
+        w = _checked(host, kind.tree_house, kind.tree_house_phase,
+                     _tree_house_search(sys, _Budget(max_nodes)))
+    return w
+
+
+def _checked(host, cls, phase: str, hit):
+    """Witness of class `cls` from a search hit, re-verified; None for no hit."""
     if hit is None:
         return None
-    w = kind(*hit)
+    w = cls(*hit)
     if not verify_witness(host, w):
         raise InternalConsistencyError(phase, "search emitted an invalid witness")
     return w
@@ -341,14 +378,12 @@ def find_odd_cycle(g: Hypergraph, max_nodes: int = DEFAULT_SEARCH_BUDGET):
     complete backtracking, where exceeding the node budget raises, it never
     silently reports absence.
     """
-    return _checked(g, OddCycleWitness, "odd-cycle-search",
-                    _find_cycle(_System(g), 3, 2, max_nodes))
+    return _search(g, max_nodes, _KINDS[Hypergraph], tree_house=False)
 
 
 def find_mixed_odd_cycle(d: MixedHypergraph, max_nodes: int = DEFAULT_SEARCH_BUDGET):
     """Shortest mixed odd cycle in d, or None; length-2 cycles are legal."""
-    return _checked(d, MixedOddCycleWitness, "mixed-odd-cycle-search",
-                    _find_cycle(_System(d), 2, 1, max_nodes))
+    return _search(d, max_nodes, _KINDS[MixedHypergraph], tree_house=False)
 
 
 def shortest_odd_cycles(g: Hypergraph, max_nodes: int = DEFAULT_SEARCH_BUDGET):
@@ -380,7 +415,7 @@ def _tree_house_search(sys: _System, budget: _Budget):
         # each leaf ends its path on an edge other than h, and the root starts
         # its three paths on three distinct edges other than h; quads and
         # roots without them are skipped, which leaves the search order as is
-        content = [v for v in _bits_of(hsup) if len(inc[v]) >= 2]
+        content = [v for v in _bits(hsup) if len(inc[v]) >= 2]
         for quad in itertools.combinations(content, 4):
             qmask = 0
             for v in quad:
@@ -424,7 +459,7 @@ def _grow_paths(sys, budget, hid, hsup, root, leaves, targets, vt, forbid,
             if trace != cbit:
                 continue
             avail = sys.support[eid] & ~vt & ~forbid
-            for u in _bits_of(avail):
+            for u in _bits(avail):
                 hit = grow(path + [u], ids + [eid], vt | (1 << u),
                            forbid | sys.support[eid], par + sys.pair_parity(eid, c, u))
                 if hit is not None:
@@ -437,14 +472,12 @@ def _grow_paths(sys, budget, hid, hsup, root, leaves, targets, vt, forbid,
 
 def find_odd_tree_house(g: Hypergraph, max_nodes: int = DEFAULT_SEARCH_BUDGET):
     """First odd tree house in g as a partial subhypergraph, or None."""
-    return _checked(g, OddTreeHouseWitness, "tree-house-search",
-                    _tree_house_search(_System(g), _Budget(max_nodes)))
+    return _search(g, max_nodes, _KINDS[Hypergraph], cycle=False)
 
 
 def find_mixed_odd_tree_house(d: MixedHypergraph, max_nodes: int = DEFAULT_SEARCH_BUDGET):
     """First mixed odd tree house in d as a partial subhypergraph, or None."""
-    return _checked(d, MixedOddTreeHouseWitness, "mixed-tree-house-search",
-                    _tree_house_search(_System(d), _Budget(max_nodes)))
+    return _search(d, max_nodes, _KINDS[MixedHypergraph], cycle=False)
 
 
 # ---------------------------------------------------------------------------
@@ -458,98 +491,75 @@ def _edge_support(host, eid: int) -> frozenset[int]:
     return frozenset(host.support(eid))
 
 
-def _restricted_parity(host: MixedHypergraph, eid: int, a: int, b: int) -> int:
-    heads, _ = host.arcs[eid]
-    return 1 if ((a in heads) == (b in heads)) else 0
+def _meets_exactly(host, vt, ids, parts) -> bool:
+    """True iff `ids` are distinct host edges and edge ids[i] meets the
+    vertex set vt in exactly the vertices parts[i]."""
+    n_edges = host.n_edges if isinstance(host, Hypergraph) else host.n_arcs
+    if len(set(ids)) != len(ids) or min(ids) < 0 or max(ids) >= n_edges:
+        return False
+    for eid, part in zip(ids, parts):
+        if _edge_support(host, eid) & vt != part:
+            return False
+    return True
 
 
 def _check_cycle(host, vertices, edge_ids) -> bool:
     k = len(vertices)
-    if k < 2 or len(edge_ids) != k:
+    if k < 2 or len(edge_ids) != k or len(set(vertices)) != k:
         return False
-    if len(set(vertices)) != k or len(set(edge_ids)) != k:
-        return False
-    if not all(0 <= e < (host.n_edges if isinstance(host, Hypergraph) else host.n_arcs)
-               for e in edge_ids):
-        return False
-    vset = frozenset(vertices)
-    for i in range(k):
-        pair = {vertices[i], vertices[(i + 1) % k]}
-        if _edge_support(host, edge_ids[i]) & vset != pair:
-            return False
-    return True
+    pairs = [{a, b} for a, b in zip(vertices, vertices[1:] + vertices[:1])]
+    return _meets_exactly(host, frozenset(vertices), edge_ids, pairs)
 
 
 def _check_tree_house(host, w) -> bool:
-    root, leaves, paths, pids, hid = w.root, w.leaves, w.paths, w.path_edge_ids, w.hyperedge_id
-    if len(leaves) != 3 or len(paths) != 3 or len(pids) != 3:
+    quad = {w.root, *w.leaves}
+    if not len(w.leaves) == len(w.paths) == len(w.path_edge_ids) == 3 or len(quad) != 4:
         return False
-    quad = {root, *leaves}
-    if len(quad) != 4:
-        return False
-    n_edges = host.n_edges if isinstance(host, Hypergraph) else host.n_arcs
-    all_ids = [hid]
-    vt: set[int] = set()
-    for i in range(3):
-        path, ids = paths[i], pids[i]
-        if len(path) < 2 or len(ids) != len(path) - 1:
+    ids, parts = [w.hyperedge_id], [quad]
+    for path, path_ids, leaf in zip(w.paths, w.path_edge_ids, w.leaves):
+        if (len(path) < 2 or len(path_ids) != len(path) - 1 or path[0] != w.root
+                or path[-1] != leaf or len(set(path)) != len(path)):
             return False
-        if path[0] != root or path[-1] != leaves[i]:
-            return False
-        if len(set(path)) != len(path):
-            return False
-        all_ids.extend(ids)
-        vt.update(path)
-    if len(set(all_ids)) != len(all_ids):
-        return False
-    if not all(0 <= e < n_edges for e in all_ids):
-        return False
-    for i in range(3):
-        for j in range(i + 1, 3):
-            if (set(paths[i]) - {root}) & (set(paths[j]) - {root}):
-                return False
-    if _edge_support(host, hid) & vt != quad:
-        return False
-    for i in range(3):
-        path, ids = paths[i], pids[i]
-        for t, eid in enumerate(ids):
-            if _edge_support(host, eid) & vt != {path[t], path[t + 1]}:
-                return False
-    return True
+        ids += path_ids
+        parts += [{a, b} for a, b in zip(path, path[1:])]
+    vt = frozenset(v for path in w.paths for v in path)
+    # the three paths share only the root
+    return len(vt) == 1 + sum(len(p) - 1 for p in w.paths) and _meets_exactly(host, vt, ids, parts)
+
+
+def _path_parity(host, vertices, edge_ids) -> int:
+    """Sum over edge_ids[t] of its parity restricted to {vertices[t],
+    vertices[t + 1]} (cyclically): 1 iff both lie on one side of the arc.
+    An unsigned host is all-head, so there every restricted parity is 1."""
+    if isinstance(host, Hypergraph):
+        return len(edge_ids)
+    k = len(vertices)
+    return sum((vertices[t] in host.arcs[eid][0]) == (vertices[(t + 1) % k] in host.arcs[eid][0])
+               for t, eid in enumerate(edge_ids))
 
 
 def verify_witness(host, w) -> bool:
-    """Re-check a certificate against its host; independent of the searches."""
-    if isinstance(w, OddCycleWitness):
-        return (isinstance(host, Hypergraph) and len(w.vertices) % 2 == 1
-                and len(w.vertices) >= 3 and _check_cycle(host, w.vertices, w.edge_ids))
-    if isinstance(w, MixedOddCycleWitness):
-        if not isinstance(host, MixedHypergraph):
-            return False
-        if not _check_cycle(host, w.vertices, w.edge_ids):
-            return False
-        k = len(w.vertices)
-        parity = sum(
-            _restricted_parity(host, w.edge_ids[i], w.vertices[i], w.vertices[(i + 1) % k])
-            for i in range(k)
-        )
-        return parity % 2 == 1
-    if isinstance(w, OddTreeHouseWitness):
-        if not isinstance(host, Hypergraph) or not _check_tree_house(host, w):
-            return False
-        return all(len(p) % 2 == 0 for p in w.paths)  # odd edge count
-    if isinstance(w, MixedOddTreeHouseWitness):
-        if not isinstance(host, MixedHypergraph) or not _check_tree_house(host, w):
-            return False
-        for i in range(3):
-            path, ids = w.paths[i], w.path_edge_ids[i]
-            par = sum(_restricted_parity(host, ids[t], path[t], path[t + 1])
-                      for t in range(len(ids)))
-            par += _restricted_parity(host, w.hyperedge_id, w.root, w.leaves[i])
-            if par % 2 != 0:
-                return False
-        return True
-    raise InputError(f"unknown witness type {type(w).__name__}")
+    """Re-check a certificate against its host; independent of the searches.
+
+    A cycle must have odd parity; each path of a tree house, closed by the
+    size-4 edge, must have even parity.  On an unsigned host every parity
+    is a length, so the cycle is odd and the paths have odd edge counts.
+    """
+    if type(w) not in _WITNESS_CLASSES.values():
+        raise InputError(f"unknown witness type {type(w).__name__}")
+    kind = _KINDS.get(type(host))
+    if kind is None:
+        return False
+    if type(w) is kind.cycle:
+        return (_check_cycle(host, w.vertices, w.edge_ids)
+                and _path_parity(host, w.vertices, w.edge_ids) % 2 == 1)
+    if type(w) is not kind.tree_house or not _check_tree_house(host, w):
+        return False
+    return all(
+        (_path_parity(host, path, ids) + _path_parity(host, (w.root, leaf), (w.hyperedge_id,)))
+        % 2 == 0
+        for path, ids, leaf in zip(w.paths, w.path_edge_ids, w.leaves)
+    )
 
 
 def witness_to_dict(host, w) -> dict:
@@ -573,23 +583,38 @@ def witness_to_dict(host, w) -> dict:
     raise InputError(f"unknown witness type {type(w).__name__}")
 
 
+def _listed(value, field: str):
+    # a string iterates as one-character names or digits; it is no list
+    if not isinstance(value, (list, tuple)):
+        raise InputError(f"certificate field {field!r} must be a list")
+    return value
+
+
+def _vertex_ids(host, names, field: str) -> tuple[int, ...]:
+    return tuple(host.vertex_id(nm) for nm in _listed(names, field))
+
+
+def _edge_ids(ids, field: str) -> tuple[int, ...]:
+    if not all(isinstance(e, int) and not isinstance(e, bool) for e in _listed(ids, field)):
+        raise InputError(f"certificate field {field!r} must hold integer edge ids")
+    return tuple(ids)
+
+
 def witness_from_dict(host, doc: dict):
     """Parse a certificate produced by `witness_to_dict`."""
     try:
-        kind = doc["kind"]
-        if kind in ("odd-cycle", "mixed-odd-cycle"):
-            vertices = tuple(host.vertex_id(nm) for nm in doc["vertices"])
-            ids = tuple(int(e) for e in doc["edge_ids"])
-            cls = OddCycleWitness if kind == "odd-cycle" else MixedOddCycleWitness
-            return cls(vertices, ids)
-        if kind in ("odd-tree-house", "mixed-odd-tree-house"):
-            cls = OddTreeHouseWitness if kind == "odd-tree-house" else MixedOddTreeHouseWitness
+        cls = _WITNESS_CLASSES.get(doc["kind"])
+        if cls in (OddCycleWitness, MixedOddCycleWitness):
+            return cls(_vertex_ids(host, doc["vertices"], "vertices"),
+                       _edge_ids(doc["edge_ids"], "edge_ids"))
+        if cls is not None:
             return cls(
                 root=host.vertex_id(doc["root"]),
-                leaves=tuple(host.vertex_id(nm) for nm in doc["leaves"]),
-                paths=tuple(tuple(host.vertex_id(nm) for nm in p) for p in doc["paths"]),
-                path_edge_ids=tuple(tuple(int(e) for e in ids) for ids in doc["path_edge_ids"]),
-                hyperedge_id=int(doc["hyperedge_id"]),
+                leaves=_vertex_ids(host, doc["leaves"], "leaves"),
+                paths=tuple(_vertex_ids(host, p, "paths") for p in _listed(doc["paths"], "paths")),
+                path_edge_ids=tuple(_edge_ids(ids, "path_edge_ids")
+                                    for ids in _listed(doc["path_edge_ids"], "path_edge_ids")),
+                hyperedge_id=_edge_ids([doc["hyperedge_id"]], "hyperedge_id")[0],
             )
     except KeyError as exc:
         raise InputError(f"certificate is missing field {exc}") from None
@@ -613,29 +638,23 @@ def _require_disjoint(g) -> None:
         )
 
 
+def _decide(host, max_nodes: int, kind: _Kind | None = None) -> Decision:
+    """TU decision for a disjoint host; `kind` as in `_search`."""
+    _require_disjoint(host)
+    w = _search(host, max_nodes, kind)
+    return Decision(tu=w is None, witness=w)
+
+
 def decide_unimodular_disjoint(g: Hypergraph,
                                max_nodes: int = DEFAULT_SEARCH_BUDGET) -> Decision:
     """TU decision for a disjoint hypergraph via forbidden-structure search."""
-    _require_disjoint(g)
-    sys = _System(g)
-    w = _checked(g, OddCycleWitness, "odd-cycle-search", _find_cycle(sys, 3, 2, max_nodes))
-    if w is None:
-        w = _checked(g, OddTreeHouseWitness, "tree-house-search",
-                     _tree_house_search(sys, _Budget(max_nodes)))
-    return Decision(tu=w is None, witness=w)
+    return _decide(g, max_nodes, _KINDS[Hypergraph])
 
 
 def decide_unimodular_mixed_disjoint(d: MixedHypergraph,
                                      max_nodes: int = DEFAULT_SEARCH_BUDGET) -> Decision:
     """TU decision for a disjoint mixed hypergraph via native mixed search."""
-    _require_disjoint(d)
-    sys = _System(d)
-    w = _checked(d, MixedOddCycleWitness, "mixed-odd-cycle-search",
-                 _find_cycle(sys, 2, 1, max_nodes))
-    if w is None:
-        w = _checked(d, MixedOddTreeHouseWitness, "mixed-tree-house-search",
-                     _tree_house_search(sys, _Budget(max_nodes)))
-    return Decision(tu=w is None, witness=w)
+    return _decide(d, max_nodes, _KINDS[MixedHypergraph])
 
 
 # ---------------------------------------------------------------------------
@@ -661,7 +680,7 @@ def compute_ocp(g: Hypergraph, max_vertices: int = 12) -> int:
         adj[b] |= 1 << a
 
     def induces_cycle(mask: int) -> bool:
-        members = list(_bits_of(mask))
+        members = list(_bits(mask))
         for v in members:
             if bin(adj[v] & mask).count("1") != 2:
                 return False
@@ -669,7 +688,7 @@ def compute_ocp(g: Hypergraph, max_vertices: int = 12) -> int:
         frontier = [members[0]]
         while frontier:
             v = frontier.pop()
-            for u in _bits_of(adj[v] & mask & ~seen):
+            for u in _bits(adj[v] & mask & ~seen):
                 seen |= 1 << u
                 frontier.append(u)
         return seen == mask

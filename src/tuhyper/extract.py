@@ -11,20 +11,22 @@ InternalConsistencyError naming the step, never a silently wrong witness.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 
-from .core import Hypergraph, incidence_matrix, is_disjoint, support_size
+from .core import Hypergraph, _bits, incidence_matrix, is_disjoint, is_eulerian, support_size
 from .detect import (
     DEFAULT_SEARCH_BUDGET,
     OddCycleWitness,
     OddTreeHouseWitness,
+    _check_cycle,
     find_odd_cycle,
     shortest_odd_cycles,
     verify_witness,
 )
 from .errors import InternalConsistencyError, PreconditionError
-from .linalg import _eulerian_selections, _mask_to_tuple
-from .quasi import QuasiEmbedding, conflicts as quasi_conflicts
+from .linalg import _eulerian_selections
+from .quasi import QuasiEmbedding, _closed_walk_parity, _conflicts, conflicts as quasi_conflicts
 
 __all__ = [
     "EulerianCore",
@@ -43,6 +45,15 @@ __all__ = [
 
 def _ic(step: str, message: str):
     raise InternalConsistencyError(step, message)
+
+
+@contextmanager
+def _step(step: str):
+    """Report a failed check of the quasi calculus as a failure of `step`."""
+    try:
+        yield
+    except (PreconditionError, InternalConsistencyError) as exc:
+        raise InternalConsistencyError(step, str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -64,10 +75,10 @@ def find_eulerian_core(g: Hypergraph, max_vertices: int = 16) -> EulerianCore:
     """Smallest Eulerian selection witnessing non-unimodularity by support count."""
     masks = list(g.edge_masks)
     for umask, fmask in _eulerian_selections(masks, g.n_vertices, max_vertices):
-        us = _mask_to_tuple(umask)
-        fs = _mask_to_tuple(fmask)
-        if len(fs) != len(us):
+        if fmask.bit_count() != umask.bit_count():
             continue
+        us = tuple(_bits(umask))
+        fs = tuple(_bits(fmask))
         covered = 0
         supp = 0
         for eid in fs:
@@ -117,15 +128,9 @@ class NiceCycle:
 
 
 def _validate_cycle(host: Hypergraph, vertices, edge_ids, step: str) -> None:
-    k = len(vertices)
-    vset = set(vertices)
-    if k < 2 or len(vset) != k or len(set(edge_ids)) != k:
-        _ic(step, "selected cycle is degenerate")
-    for i in range(k):
-        pair = {vertices[i], vertices[(i + 1) % k]}
-        if set(host.edges[edge_ids[i]]) & vset != pair:
-            _ic(step, "selected edges do not restrict to a cycle")
-    if k % 2 == 1:
+    if not _check_cycle(host, vertices, edge_ids):
+        _ic(step, "selected edges do not restrict to a cycle")
+    if len(vertices) % 2 == 1:
         _ic(step, "selected cycle is odd although no odd cycle was found")
 
 
@@ -189,8 +194,9 @@ def _first_cycle(pairs):
     return None
 
 
-def _graph_cycle(host: Hypergraph) -> NiceCycle | None:
-    """A cycle of the size-2 subgraph, or None if that subgraph is a forest."""
+def enforce_forest(host: Hypergraph) -> NiceCycle | None:
+    """The forest check: an even cycle of the size-2 subgraph to remove, or
+    None when that subgraph is already a forest."""
     pairs = [(e[0], e[1], eid) for eid, e in enumerate(host.edges) if len(e) == 2]
     hit = _first_cycle(pairs)
     if hit is None:
@@ -199,12 +205,6 @@ def _graph_cycle(host: Hypergraph) -> NiceCycle | None:
     cyc = NiceCycle(tuple(verts), tuple(ids), None)
     _validate_cycle(host, cyc.vertices, cyc.edge_ids, "graph-cycle")
     return cyc
-
-
-def enforce_forest(host: Hypergraph):
-    """Alias over `_graph_cycle` exposing the forest check: returns the even
-    cycle to remove, or None when the size-2 subgraph is already a forest."""
-    return _graph_cycle(host)
 
 
 def almost_nice_cycle(host: Hypergraph) -> NiceCycle:
@@ -368,8 +368,7 @@ def reduce_by_cycle(host: Hypergraph, nice: NiceCycle) -> ReducedPair:
         _ic("reduce-supp", "support count left the 2 mod 4 class")
     if before - after < 4:
         _ic("reduce-supp", "support did not strictly decrease by >= 4")
-    nz = incidence_matrix(sub) != 0
-    if (nz.sum(axis=0) % 2).any() or (nz.sum(axis=1) % 2).any():
+    if not is_eulerian(sub):
         _ic("reduce-eulerian", "reduced hypergraph is not Eulerian")
     if not is_disjoint(sub):
         _ic("reduce-disjoint", "reduced hypergraph is not disjoint")
@@ -382,94 +381,22 @@ def reduce_by_cycle(host: Hypergraph, nice: NiceCycle) -> ReducedPair:
                        not report.conflicts)
 
 
-# ---------------------------------------------------------------------------
-# Quasi-embedding bookkeeping over structured tree-house candidates
-# ---------------------------------------------------------------------------
-
-
-def _assert_q1_q2(host, items, step):
-    """items: list of (frozenset vertex content, host edge id)."""
-    by_edge: dict[int, list[frozenset[int]]] = {}
-    for content, hid in items:
-        if not content <= set(host.edges[hid]):
-            _ic(step, "an edge is not contained in its host edge")
-        by_edge.setdefault(hid, []).append(content)
-    for parts in by_edge.values():
-        for i in range(len(parts)):
-            for j in range(i + 1, len(parts)):
-                if parts[i] & parts[j]:
-                    _ic(step, "two edges mapped to one host edge overlap")
-
-
-def _conflict_ids(host, items, vset):
-    by_edge: dict[int, list[frozenset[int]]] = {}
-    for content, hid in items:
-        by_edge.setdefault(hid, []).append(content)
-    out = []
-    for hid in sorted(by_edge):
-        trace = frozenset(host.edges[hid]) & vset
-        if all(part != trace for part in by_edge[hid]):
-            out.append(hid)
+def _verified_house(host, root, leaves, paths, path_ids, h_edge, step):
+    """The conflict-free candidate as a witness, checked independently."""
+    out = OddTreeHouseWitness(root, tuple(leaves), tuple(tuple(p) for p in paths),
+                              tuple(tuple(i) for i in path_ids), h_edge)
+    if not verify_witness(host, out):
+        _ic(step, "conflict-free candidate is not an odd tree house")
     return out
 
 
 def _path_items(paths, path_ids):
+    """Path edges as items of the quasi calculus: (vertex pair, host edge)."""
     items = []
     for seq, ids in zip(paths, path_ids):
         for t, hid in enumerate(ids):
             items.append((frozenset((seq[t], seq[t + 1])), hid))
     return items
-
-
-def _walk_parity(host, vertex_edges, closers, step):
-    """Closed-walk parity assertion on explicit (pair, host id) edge lists.
-
-    `closers` are one or two host edges whose traces close the walk(s); the
-    edge count of the walk must be odd for one closer and even for two.
-    """
-    items = list(vertex_edges)
-    vset = set()
-    for content, _ in items:
-        vset |= content
-    _assert_q1_q2(host, items, step)
-    if _conflict_ids(host, items, vset):
-        _ic(step, "walk embedding has a conflict")
-    used = [hid for _, hid in items]
-    if len(set(used)) != len(used):
-        _ic(step, "walk embedding reuses a host edge")
-    degree: dict[int, int] = {}
-    for content, _ in items:
-        for v in content:
-            degree[v] = degree.get(v, 0) + 1
-    traces = []
-    for hid in closers:
-        if hid in used:
-            _ic(step, "closing edge already lies on the walk")
-        trace = frozenset(host.edges[hid]) & vset
-        if len(trace) != 2:
-            _ic(step, "closing edge does not meet the walk in two vertices")
-        traces.append(trace)
-        for v in trace:
-            degree[v] = degree.get(v, 0) + 1
-    if len(traces) == 2 and traces[0] & traces[1]:
-        _ic(step, "closing edges share an endpoint")
-    if any(d % 2 for d in degree.values()):
-        _ic(step, "closing the walk leaves odd degrees")
-    all_edges = [c for c, _ in items] + traces
-    seen = set(next(iter(all_edges)))
-    grew = True
-    while grew:
-        grew = False
-        for content in all_edges:
-            if content & seen and not content <= seen:
-                seen |= content
-                grew = True
-    if seen != set(degree):
-        _ic(step, "closing the walk leaves it disconnected")
-    forced = 1 if len(traces) == 1 else 0
-    if len(items) % 2 != forced:
-        _ic(step, f"walk parity violates the closed-walk argument ({len(items)} edges)")
-    return forced
 
 
 # ---------------------------------------------------------------------------
@@ -496,53 +423,37 @@ def lift_tree_house(rp: ReducedPair, w: OddTreeHouseWitness) -> OddTreeHouseWitn
     h_edge = phi[w.hyperedge_id]
     guard = sum(len(ids) for ids in path_ids) + 2
     for _ in range(guard):
-        items = _path_items(paths, path_ids) + [
-            (frozenset([root, *leaves]), h_edge)
-        ]
-        used = [hid for _, hid in items]
-        if len(set(used)) != len(used):
+        items = _path_items(paths, path_ids) + [(frozenset([root, *leaves]), h_edge)]
+        if len({hid for _, hid in items}) != len(items):
             _ic("tree-house-lift", "edge map stopped being injective")
-        _assert_q1_q2(host, items, "tree-house-lift")
-        vset = {v for seq in paths for v in seq}
-        confl = _conflict_ids(host, items, vset | {root, *leaves})
+        vset = {v for seq in paths for v in seq} | {root, *leaves}
+        with _step("tree-house-lift"):
+            confl = _conflicts(host, items, vset)
         if not confl:
-            out = OddTreeHouseWitness(
-                root, tuple(leaves), tuple(tuple(p) for p in paths),
-                tuple(tuple(i) for i in path_ids), h_edge,
-            )
-            if not verify_witness(host, out):
-                _ic("tree-house-lift", "conflict-free candidate is not an odd tree house")
-            return out
+            return _verified_house(host, root, leaves, paths, path_ids, h_edge,
+                                   "tree-house-lift")
         if len(confl) > 1:
             _ic("tree-house-lift", f"more than one conflict: {confl}")
         e_c = confl[0]
         ec_content = set(host.edges[e_c])
         if e_c == h_edge:
             # Case 1: shorten the first path that meets the conflict edge
-            pick = next(
-                (i for i in range(3) if set(paths[i][1:-1]) & ec_content), None
-            )
+            pick = next((i for i in range(3) if set(paths[i][1:-1]) & ec_content), None)
             if pick is None:
                 _ic("tree-house-lift-case1", "conflict adds no internal path vertex")
             s = next(t for t in range(1, len(paths[pick]) - 1)
                      if paths[pick][t] in ec_content)
             prefix = paths[pick][: s + 1]
             prefix_ids = path_ids[pick][:s]
-            _walk_parity(
-                host,
-                [(frozenset((prefix[t], prefix[t + 1])), prefix_ids[t])
-                 for t in range(len(prefix_ids))],
-                [e_c],
-                "tree-house-lift-case1-parity",
-            )
+            with _step("tree-house-lift-case1-parity"):
+                _closed_walk_parity(host, _path_items([prefix], [prefix_ids]), set(prefix),
+                                    [e_c])
             paths[pick] = prefix
             path_ids[pick] = prefix_ids
             leaves[pick] = prefix[-1]
             h_edge = e_c
             continue
-        pick = next(
-            (i for i in range(3) if e_c in path_ids[i]), None
-        )
+        pick = next((i for i in range(3) if e_c in path_ids[i]), None)
         if pick is None:
             _ic("tree-house-lift", "conflict image is no edge of the tree house")
         onpath = [t for t in range(1, len(paths[pick]) - 1)
@@ -556,15 +467,9 @@ def lift_tree_house(rp: ReducedPair, w: OddTreeHouseWitness) -> OddTreeHouseWitn
             front_ids = path_ids[pick][:s]
             back = paths[pick][t:]
             back_ids = path_ids[pick][t:]
-            _walk_parity(
-                host,
-                [(frozenset((front[x], front[x + 1])), front_ids[x])
-                 for x in range(len(front_ids))]
-                + [(frozenset((back[x], back[x + 1])), back_ids[x])
-                   for x in range(len(back_ids))],
-                [h_edge, e_c],
-                "tree-house-lift-case2-parity",
-            )
+            with _step("tree-house-lift-case2-parity"):
+                _closed_walk_parity(host, _path_items([front, back], [front_ids, back_ids]),
+                                    set(front) | set(back), [h_edge, e_c])
             paths[pick] = front + back
             path_ids[pick] = front_ids + [e_c] + back_ids
             continue
@@ -602,9 +507,9 @@ def _assert_candidate(host, root, leaves, paths, path_ids, h_edge, step):
         if set(paths[i][1:-1]) & quad:
             _ic(step, "a path passes through the proper edge's vertices")
     items = _path_items(paths, path_ids) + [(frozenset(quad), h_edge)]
-    _assert_q1_q2(host, items, step)
     vset = {v for seq in paths for v in seq} | quad
-    confl = _conflict_ids(host, items, vset)
+    with _step(step):
+        confl = _conflicts(host, items, vset)
     for e in confl:
         content = set(host.edges[e])
         if len(content) < 4 or e == h_edge:
@@ -649,20 +554,15 @@ def lift_odd_cycle(rp: ReducedPair, max_nodes: int = DEFAULT_SEARCH_BUDGET) -> O
     chosen = min(shortest,
                  key=lambda wc: (-proper_uses(wc), tuple(sorted(wc.edge_ids))))
     kv_host = [vmap[v] for v in chosen.vertices]
-    k_items = []
-    k_pairs = []
-    kk = len(kv_host)
-    for i in range(kk):
-        pair = frozenset((kv_host[i], kv_host[(i + 1) % kk]))
-        k_items.append((pair, phi[chosen.edge_ids[i]]))
-        k_pairs.append(pair)
-    confl = _conflict_ids(host, k_items, set(kv_host))
+    kp_ids = [phi[e] for e in chosen.edge_ids]
+    k_items = _path_items([kv_host + kv_host[:1]], [kp_ids])
+    with _step("cycle-lift-conflict"):
+        confl = _conflicts(host, k_items, set(kv_host))
     if confl != [special]:
         _ic("cycle-lift-conflict", f"cycle conflicts are {confl}, not the special edge")
-    f_star_positions = [i for i in range(kk) if k_items[i][1] == special]
-    if len(f_star_positions) != 1:
+    f_star = [pair for pair, hid in k_items if hid == special]
+    if len(f_star) != 1:
         _ic("cycle-lift-conflict", "special edge image is not unique on the cycle")
-    f_star = k_pairs[f_star_positions[0]]
     special_content = set(host.edges[special])
     g_on_cycle = special_content & set(nice.vertices)
     if len(g_on_cycle) != 2:
@@ -672,7 +572,7 @@ def lift_odd_cycle(rp: ReducedPair, max_nodes: int = DEFAULT_SEARCH_BUDGET) -> O
         _ic("cycle-lift-overlap", f"|special & both cycles| = {len(overlap)}, expected 1")
     root = next(iter(overlap))
     leaf1 = next(iter(g_on_cycle - overlap))
-    leaf2, leaf3 = sorted(f_star)
+    leaf2, leaf3 = sorted(f_star[0])
     # first path: the removed even cycle opened at the special edge
     p1_vs, p1_ids = _cycle_path_without(list(nice.vertices), list(nice.edge_ids), special)
     if p1_vs[0] != root:
@@ -681,9 +581,7 @@ def lift_odd_cycle(rp: ReducedPair, max_nodes: int = DEFAULT_SEARCH_BUDGET) -> O
     if p1_vs[0] != root or p1_vs[-1] != leaf1:
         _ic("cycle-lift", "opened removed cycle does not join root and first leaf")
     # second and third paths: the fresh odd cycle opened at f*
-    kp_vs = [vmap[v] for v in chosen.vertices]
-    kp_ids = [phi[e] for e in chosen.edge_ids]
-    open_vs, open_ids = _cycle_path_without(kp_vs, kp_ids, special)
+    open_vs, open_ids = _cycle_path_without(kv_host, kp_ids, special)
     at_root = open_vs.index(root)
     left_vs = list(reversed(open_vs[: at_root + 1]))
     left_ids = list(reversed(open_ids[:at_root]))
@@ -701,13 +599,7 @@ def lift_odd_cycle(rp: ReducedPair, max_nodes: int = DEFAULT_SEARCH_BUDGET) -> O
         confl = _assert_candidate(host, root, leaves, paths, path_ids, special,
                                   "cycle-lift-candidate")
         if not confl:
-            out = OddTreeHouseWitness(
-                root, tuple(leaves), tuple(tuple(p) for p in paths),
-                tuple(tuple(i) for i in path_ids), special,
-            )
-            if not verify_witness(host, out):
-                _ic("cycle-lift", "conflict-free candidate is not an odd tree house")
-            return out
+            return _verified_house(host, root, leaves, paths, path_ids, special, "cycle-lift")
         before = sum(len(ids) for ids in path_ids)
         paths, path_ids, leaves = _crossover(host, root, leaves, paths, path_ids,
                                              special, confl)
@@ -762,17 +654,10 @@ def _crossover(host, root, leaves, paths, path_ids, h_edge, confl):
                             path_ids[0][t2:], g2)
     new_pj, new_idsj = weld(p1[: s1 + 1], path_ids[0][:s1], pj[t1:],
                             path_ids[j][t1:], g1)
-    out_paths = [new_p1, None, None]
-    out_ids = [new_ids1, None, None]
-    out_leaves = [leaves[0], None, None]
-    other = 3 - j
-    out_paths[j] = new_pj
-    out_ids[j] = new_idsj
-    out_leaves[j] = leaves[j]
-    out_paths[other] = paths[other]
-    out_ids[other] = path_ids[other]
-    out_leaves[other] = leaves[other]
-    return out_paths, out_ids, out_leaves
+    out_paths, out_ids = list(paths), list(path_ids)
+    out_paths[0], out_ids[0] = new_p1, new_ids1
+    out_paths[j], out_ids[j] = new_pj, new_idsj
+    return out_paths, out_ids, list(leaves)
 
 
 # ---------------------------------------------------------------------------
@@ -815,7 +700,7 @@ def _extract_core(gs: Hypergraph, trace, max_nodes, max_vertices):
     if oc is not None:
         trace.append({"step": "odd-cycle", "vertices": [gs.names[v] for v in oc.vertices]})
         return oc
-    cyc = _graph_cycle(gs)
+    cyc = enforce_forest(gs)
     if cyc is not None:
         rp = reduce_by_cycle(gs, cyc)
         if not rp.conflict_free:
@@ -824,16 +709,15 @@ def _extract_core(gs: Hypergraph, trace, max_nodes, max_vertices):
             "step": "remove-graph-cycle",
             "cycle": [gs.names[v] for v in cyc.vertices],
         })
-        w = _extract(rp.sub, trace, max_nodes, max_vertices)
-        return _remap_witness(w, rp.vmap, rp.phi)
-    nice = almost_nice_cycle(gs)
-    rp = reduce_by_cycle(gs, nice)
-    trace.append({
-        "step": "remove-even-cycle",
-        "cycle": [gs.names[v] for v in nice.vertices],
-        "special_edge": nice.special,
-        "conflict_free": rp.conflict_free,
-    })
+    else:
+        nice = almost_nice_cycle(gs)
+        rp = reduce_by_cycle(gs, nice)
+        trace.append({
+            "step": "remove-even-cycle",
+            "cycle": [gs.names[v] for v in nice.vertices],
+            "special_edge": nice.special,
+            "conflict_free": rp.conflict_free,
+        })
     w = _extract(rp.sub, trace, max_nodes, max_vertices)
     if rp.conflict_free:
         return _remap_witness(w, rp.vmap, rp.phi)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Hypergraph, MixedHypergraph, SubSelection
+from .core import Hypergraph, MixedHypergraph, SubSelection, _bits
 from .errors import InputError, SizeGuardError
 
 __all__ = [
@@ -64,12 +64,21 @@ def det_exact(m) -> int:
     return sign * a[n - 1][n - 1]
 
 
+def _hadamard_bound(a: np.ndarray) -> float:
+    """Bound on |every minor| of a float matrix: the product of its
+    min(rows, cols) largest column norms, each taken as at least 1."""
+    norms = np.sqrt((a * a).sum(axis=0))
+    return np.prod(np.sort(norms)[::-1][: min(a.shape)].clip(min=1.0))
+
+
 def batch_det_exact(mats: np.ndarray) -> np.ndarray:
     """Exact determinants of a stack of small integer matrices.
 
     Fraction-free elimination in int64.  Entries are minors of the input,
-    but each step multiplies two of them before the exact division, so the
-    caller must keep twice the square of the Hadamard bound below 2^63.
+    but each step multiplies two of them before the exact division, so a
+    stack where twice the square of some matrix's Hadamard bound reaches
+    2^62 (a factor of two below 2^63 for the rounding of the floats) raises
+    SizeGuardError.
     """
     a = np.array(mats, dtype=np.int64, copy=True)
     b, n, n2 = a.shape
@@ -77,6 +86,8 @@ def batch_det_exact(mats: np.ndarray) -> np.ndarray:
         raise InputError("batch_det_exact expects square matrices")
     if n == 0:
         return np.ones(b, dtype=np.int64)
+    if any(2.0 * _hadamard_bound(x) ** 2 >= 2.0**62 for x in a.astype(np.float64)):
+        raise SizeGuardError("entries too large for exact int64 elimination")
     sign = np.ones(b, dtype=np.int64)
     prev = np.ones(b, dtype=np.int64)
     alive = np.ones(b, dtype=bool)
@@ -109,16 +120,12 @@ def _check_guard(m: np.ndarray, max_dimension_sum: int) -> None:
             f"{max_dimension_sum}; raise max_dimension_sum to force the enumeration"
         )
     # int64 exactness of `_minors`: every minor of every order is at most the
-    # Hadamard bound H (the min(rows, cols) largest column norms, each taken
-    # as at least 1).  One step of the recurrence adds the terms
+    # Hadamard bound H.  One step of the recurrence adds the terms
     # +-m[r, c] * minor over rows r of one column c, so every term and every
     # partial sum is at most ||col c||_1 * H.  Keeping that product below
     # 2^62 leaves a factor of two below 2^63 for the rounding of the floats.
     a = np.abs(np.asarray(m, dtype=np.float64))
-    norms = np.sqrt((a * a).sum(axis=0))
-    bound = np.prod(np.sort(norms)[::-1][: min(rows, cols)].clip(min=1.0))
-    col_l1 = a.sum(axis=0).max(initial=1.0)
-    if bound * col_l1 >= 2.0**62:
+    if _hadamard_bound(a) * a.sum(axis=0).max(initial=1.0) >= 2.0**62:
         raise SizeGuardError("entries too large for exact int64 enumeration")
 
 
@@ -350,15 +357,6 @@ def _eulerian_selections(masks: list[int], n_vertices: int, guard: int):
                 yield umask, fmask
 
 
-def _mask_to_tuple(mask: int) -> tuple[int, ...]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return tuple(out)
-
-
 def camion_unimodular(g: Hypergraph, max_vertices: int = 16) -> CamionResult:
     """Support-count unimodularity test for unsigned hypergraphs.
 
@@ -368,9 +366,9 @@ def camion_unimodular(g: Hypergraph, max_vertices: int = 16) -> CamionResult:
     """
     masks = list(g.edge_masks)
     for umask, fmask in _eulerian_selections(masks, g.n_vertices, max_vertices):
-        supp = sum(bin(masks[e] & umask).count("1") for e in _mask_to_tuple(fmask))
+        supp = sum(bin(masks[e] & umask).count("1") for e in _bits(fmask))
         if supp % 4 != 0:
-            sel = SubSelection(_mask_to_tuple(umask), _mask_to_tuple(fmask))
+            sel = SubSelection(tuple(_bits(umask)), tuple(_bits(fmask)))
             return CamionResult(False, sel, supp)
     return CamionResult(True, None, None)
 
@@ -387,7 +385,7 @@ def camion_unimodular_mixed(d: MixedHypergraph, max_vertices: int = 16) -> Camio
     heads = list(d.head_masks)
     tails = list(d.tail_masks)
     for umask, fmask in _eulerian_selections(supports, d.n_vertices, max_vertices):
-        chosen = _mask_to_tuple(fmask)
+        chosen = tuple(_bits(fmask))
         u_size = bin(umask).count("1")
         zero_arcs = [a for a in range(d.n_arcs) if supports[a] & umask == 0]
         if not (len(chosen) <= u_size <= len(chosen) + len(zero_arcs)):
@@ -398,7 +396,7 @@ def camion_unimodular_mixed(d: MixedHypergraph, max_vertices: int = 16) -> Camio
         )
         if total % 4 != 0:
             pad = tuple(zero_arcs[: u_size - len(chosen)])
-            sel = SubSelection(_mask_to_tuple(umask), tuple(sorted(chosen + pad)))
+            sel = SubSelection(tuple(_bits(umask)), tuple(sorted(chosen + pad)))
             return CamionResult(False, sel, total)
     return CamionResult(True, None, None)
 

@@ -10,15 +10,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    Hypergraph,
-    MixedHypergraph,
-    incidence_matrix,
-    is_disjoint,
-    mixed_from_matrix,
-    overlapping_proper_edges,
+from .core import Hypergraph, MixedHypergraph, incidence_matrix, mixed_from_matrix
+from .detect import (
+    MixedOddCycleWitness,
+    MixedOddTreeHouseWitness,
+    _require_disjoint,
+    verify_witness,
 )
-from .detect import MixedOddCycleWitness, MixedOddTreeHouseWitness, verify_witness
 from .errors import InputError, InternalConsistencyError, PreconditionError
 from .linalg import det_exact
 
@@ -223,9 +221,7 @@ def normalize_to_hypergraph(d: MixedHypergraph) -> tuple[Hypergraph, list[dict]]
     on support >= 3 cannot be normalized this way and are rejected; Eulerian
     inputs never hit that case since all their supports are even.
     """
-    if not is_disjoint(d):
-        pair = overlapping_proper_edges(d)
-        raise PreconditionError(f"input is not disjoint: arcs {pair[0]} and {pair[1]} overlap")
+    _require_disjoint(d)
     transcript: list[dict] = []
     cur = d
     for aid in range(cur.n_arcs):
@@ -360,9 +356,7 @@ def _whole_tree_house_witness(d: MixedHypergraph):
 
 def classify_almost_tu_disjoint(d: MixedHypergraph) -> Classification:
     """Structural almost-TU classification of a whole disjoint instance."""
-    if not is_disjoint(d):
-        pair = overlapping_proper_edges(d)
-        raise PreconditionError(f"input is not disjoint: arcs {pair[0]} and {pair[1]} overlap")
+    _require_disjoint(d)
     w = _whole_cycle_witness(d)
     if w is not None:
         return Classification("mixed-odd-cycle", w)
@@ -381,10 +375,7 @@ def build_r_matrix(a) -> np.ndarray:
     reroutes the root end of the second path to the first leaf; both reuse
     the {+-1} null vector of the first path-plus-h even cycle.
     """
-    if isinstance(a, MixedHypergraph):
-        d = a
-    else:
-        d = mixed_from_matrix(a)
+    d = a if isinstance(a, MixedHypergraph) else mixed_from_matrix(a)
     cls = classify_almost_tu_disjoint(d)
     if cls.kind == "mixed-odd-cycle":
         return np.eye(d.n_arcs, dtype=np.int64)

@@ -1,5 +1,6 @@
 """Quasi-subhypergraph calculus: embeddings (H, phi), conflicts, restriction,
-edge addition, and the closed-walk parity check used by witness extraction.
+edge addition, and the closed-walk parity check.  Witness extraction runs on
+the same calculus, over the (vertex set, host edge) items of its candidates.
 
 A quasi-embedding maps each sub edge f to a host edge phi(f) with f a subset
 of phi(f) (Q1) and, per host edge, pairwise disjoint preimages (Q2).  Sub and
@@ -74,54 +75,100 @@ def inclusion(host: Hypergraph, sel: SubSelection) -> QuasiEmbedding:
     return QuasiEmbedding(host, ind.sub, ind.origin)
 
 
-def verify_quasi(q: QuasiEmbedding) -> bool:
-    """True iff Q1 (f inside phi(f)) and Q2 (disjoint preimages) hold."""
+# The calculus runs on items, (frozenset of host vertex ids, host edge id) pairs
+# in sub edge order; the public functions below and witness extraction use it.
+
+
+def _preimages(host: Hypergraph, items):
+    """Item contents by host edge, or None unless Q1 (each item inside its
+    host edge) and Q2 (disjoint preimages) hold."""
     preimages: dict[int, list[frozenset[int]]] = {}
-    for f in range(q.sub.n_edges):
-        content = q.sub_edge_in_host(f)
-        host_edge = set(q.host.edges[q.phi[f]])
-        if not content <= host_edge:
-            return False
-        preimages.setdefault(q.phi[f], []).append(content)
-    for parts in preimages.values():
-        for i in range(len(parts)):
-            for j in range(i + 1, len(parts)):
-                if parts[i] & parts[j]:
-                    return False
-    return True
+    for content, hid in items:
+        if not content <= set(host.edges[hid]):
+            return None
+        preimages.setdefault(hid, []).append(content)
+    # parts are pairwise disjoint iff their sizes add up to their union's
+    if any(sum(map(len, parts)) != len(frozenset().union(*parts))
+           for parts in preimages.values()):
+        return None
+    return preimages
 
 
-def _require_quasi(q: QuasiEmbedding) -> None:
-    if not verify_quasi(q):
+def _conflicts(host: Hypergraph, items, vset) -> list[int]:
+    """Ascending host edges whose every preimage misses part of their trace
+    on the sub's vertex set `vset`; PreconditionError unless Q1/Q2 hold."""
+    preimages = _preimages(host, items)
+    if preimages is None:
         raise PreconditionError("embedding violates Q1/Q2")
+    return [hid for hid, parts in sorted(preimages.items())
+            if frozenset(host.edges[hid]) & vset not in parts]
 
 
-def conflicts(q: QuasiEmbedding) -> ConflictReport:
-    """Host edges whose every preimage misses part of the edge's sub trace."""
-    _require_quasi(q)
-    sub_vertices = q.sub_vertices_in_host()
-    preimages: dict[int, list[int]] = {}
-    for f in range(q.sub.n_edges):
-        preimages.setdefault(q.phi[f], []).append(f)
-    bad = []
-    wit = []
-    for hid in sorted(preimages):
-        trace = frozenset(q.host.edges[hid]) & sub_vertices
-        if all(q.sub_edge_in_host(f) != trace for f in preimages[hid]):
-            bad.append(hid)
-            wit.append(min(preimages[hid]))
-    return ConflictReport(tuple(bad), tuple(wit))
-
-
-def is_partial(q: QuasiEmbedding) -> bool:
-    """True iff conflict-free; a conflict-free phi must also be injective."""
-    if conflicts(q):
+def _is_partial(host: Hypergraph, items, vset) -> bool:
+    if _conflicts(host, items, vset):
         return False
-    if len(set(q.phi)) != len(q.phi):
+    if len({hid for _, hid in items}) != len(items):
         raise InternalConsistencyError(
             "conflict-free-injectivity", "conflict-free embedding with non-injective phi"
         )
     return True
+
+
+def _closed_walk_parity(host: Hypergraph, items, vset, closers) -> int:
+    """Closed-walk parity over items that form one or two walks of size-2
+    edges, closed by the traces of one or two host edges `closers`.
+
+    Every structural precondition raises PreconditionError; a walk whose
+    edge count has the wrong parity raises InternalConsistencyError.
+    """
+    if not _is_partial(host, items, vset):
+        raise PreconditionError("embedding is not a partial subhypergraph")
+    if any(len(content) != 2 for content, _ in items):
+        raise PreconditionError("the embedded walk must consist of size-2 edges")
+    used = {hid for _, hid in items}
+    traces = []
+    for hid in closers:
+        if not 0 <= hid < host.n_edges:
+            raise InputError(f"unknown host edge {hid}")
+        if hid in used:
+            raise PreconditionError(f"closing edge {hid} already lies in the walk")
+        trace = frozenset(host.edges[hid]) & vset
+        if len(trace) != 2:
+            raise PreconditionError(
+                f"closing edge {hid} must meet the walk in exactly two vertices"
+            )
+        traces.append(trace)
+    if len(traces) == 2 and (traces[0] & traces[1]):
+        raise PreconditionError("the four endpoints must be distinct")
+    if not _euler_closed([content for content, _ in items] + traces):
+        raise PreconditionError("closing the walk(s) does not yield a closed walk")
+    forced = 1 if len(traces) == 1 else 0
+    if len(items) % 2 != forced:
+        raise InternalConsistencyError(
+            "closed-walk-parity",
+            f"walk has {len(items)} edges but parity {forced} is forced",
+        )
+    return forced
+
+
+def _items(q: QuasiEmbedding):
+    return [(q.sub_edge_in_host(f), q.phi[f]) for f in range(q.sub.n_edges)]
+
+
+def verify_quasi(q: QuasiEmbedding) -> bool:
+    """True iff Q1 (f inside phi(f)) and Q2 (disjoint preimages) hold."""
+    return _preimages(q.host, _items(q)) is not None
+
+
+def conflicts(q: QuasiEmbedding) -> ConflictReport:
+    """Host edges whose every preimage misses part of the edge's sub trace."""
+    bad = _conflicts(q.host, _items(q), q.sub_vertices_in_host())
+    return ConflictReport(tuple(bad), tuple(q.phi.index(hid) for hid in bad))
+
+
+def is_partial(q: QuasiEmbedding) -> bool:
+    """True iff conflict-free; a conflict-free phi must also be injective."""
+    return _is_partial(q.host, _items(q), q.sub_vertices_in_host())
 
 
 def restrict(q: QuasiEmbedding, sel: SubSelection) -> QuasiEmbedding:
@@ -197,33 +244,5 @@ def walk_parity_closed(q: QuasiEmbedding, closing_edge: int,
 
         if find_odd_cycle(q.host) is not None:
             raise PreconditionError("host contains an odd cycle")
-    if not is_partial(q):
-        raise PreconditionError("embedding is not a partial subhypergraph")
-    if any(len(e) != 2 for e in q.sub.edges):
-        raise PreconditionError("the embedded walk must consist of size-2 edges")
     closers = [closing_edge] + ([] if second_edge is None else [second_edge])
-    sub_vertices = q.sub_vertices_in_host()
-    traces = []
-    for hid in closers:
-        if not 0 <= hid < q.host.n_edges:
-            raise InputError(f"unknown host edge {hid}")
-        if hid in q.phi:
-            raise PreconditionError(f"closing edge {hid} already lies in the walk")
-        trace = frozenset(q.host.edges[hid]) & sub_vertices
-        if len(trace) != 2:
-            raise PreconditionError(
-                f"closing edge {hid} must meet the walk in exactly two vertices"
-            )
-        traces.append(trace)
-    if len(traces) == 2 and (traces[0] & traces[1]):
-        raise PreconditionError("the four endpoints must be distinct")
-    walk_edges = [q.sub_edge_in_host(f) for f in range(q.sub.n_edges)]
-    if not _euler_closed(walk_edges + traces):
-        raise PreconditionError("closing the walk(s) does not yield a closed walk")
-    forced = 1 if second_edge is None else 0
-    if q.sub.n_edges % 2 != forced:
-        raise InternalConsistencyError(
-            "closed-walk-parity",
-            f"walk has {q.sub.n_edges} edges but parity {forced} is forced",
-        )
-    return forced
+    return _closed_walk_parity(q.host, _items(q), q.sub_vertices_in_host(), closers)

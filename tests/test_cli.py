@@ -188,7 +188,20 @@ def test_malformed_instances_are_input_errors(tmp_path):
                       ("arc-minus-string", {"vertices": ["a", "b", "c"],
                                             "arcs": [{"plus": ["a"], "minus": "b"},
                                                      {"plus": ["b", "c"]},
-                                                     {"plus": ["a", "c"]}]})):
+                                                     {"plus": ["a", "c"]}]}),
+                      # names that are not strings would be coerced by str()
+                      ("vertex-name-list", {"vertices": [["a"]], "edges": []}),
+                      ("vertices-object", {"vertices": {"a": 0, "b": 1}, "edges": [["a", "b"]]}),
+                      ("edge-member-int", {"vertices": ["0", "1", "2"],
+                                           "edges": [[0, 1], [1, 2], [0, 2]]}),
+                      ("arc-member-int", {"vertices": ["0", "1"],
+                                          "arcs": [{"plus": [0, 1]},
+                                                   {"plus": [0], "minus": [1]}]}),
+                      ("arc-not-an-object", {"vertices": ["a", "b"], "arcs": ["ab"]}),
+                      # exactly one of edges and arcs
+                      ("edges-and-arcs", {"vertices": ["a", "b", "c"],
+                                          "edges": [["a", "b"], ["b", "c"], ["a", "c"]],
+                                          "arcs": [{"plus": ["a"], "minus": ["b"]}]})):
         p = tmp_path / f"{name}.json"
         p.write_text(json.dumps(doc))
         _assert_input_error(run("check", str(p)))
@@ -204,3 +217,9 @@ def test_unreadable_or_malformed_certificate_is_input_error(tmp_path):
     bad.write_text(json.dumps({"kind": "odd-cycle", "vertices": ["a", "b", "c"],
                                "edge_ids": ["x", 1, 2]}))
     _assert_input_error(run("check", fixture_path("c3"), "--verify-cert", str(bad)))
+    # a string is no list, and an edge id is an integer, not a float or a bool
+    for vertices, edge_ids in (("abc", [0, 1, 2]), (["a", "b", "c"], "012"),
+                               (["a", "b", "c"], [0, 1, 2.7]), (["a", "b", "c"], [0, True, 2])):
+        bad.write_text(json.dumps({"kind": "odd-cycle", "vertices": vertices,
+                                   "edge_ids": edge_ids}))
+        _assert_input_error(run("check", fixture_path("c3"), "--verify-cert", str(bad)))

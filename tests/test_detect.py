@@ -1,3 +1,4 @@
+import dataclasses
 import time
 
 import pytest
@@ -284,3 +285,32 @@ def test_graph_hosts_scale_past_the_recursion_limit():
     start = time.perf_counter()
     assert decide_unimodular_disjoint(grid).tu
     assert time.perf_counter() - start < 1.0
+
+
+def test_unsigned_decision_is_the_all_head_mixed_decision():
+    # an unsigned hypergraph is the all-head mixed one: both deciders give
+    # the same verdict and the same witness, only the witness class differs
+    sizes = ((), (3,), (4,), (5,), (4, 4), (4, 3), (3, 3), (6,), (4, 5))
+    lens = ((1, 1, 1), (1, 1, 3), (1, 3, 3), (3, 3, 3))
+    kinds = {}
+    seed = 0
+    while sum(kinds.values()) < 3000:
+        plant = (Plant("odd-tree-house", path_lengths=lens[seed % 16 // 4])
+                 if seed % 4 == 0 else None)
+        cfg = GenConfig(seed=700_000 + seed, n_vertices=4 + seed % 9,
+                        n_small_edges=(seed * 5) % (3 if plant else 14),
+                        proper_edge_sizes=sizes[seed % len(sizes)], disjoint=True, plant=plant)
+        seed += 1
+        try:
+            g, _ = generate(cfg)
+        except InputError:
+            continue
+        unsigned = decide_unimodular_disjoint(g)
+        mixed = decide_unimodular_mixed_disjoint(core.as_mixed(g))
+        assert unsigned.tu == mixed.tu, seed
+        if not unsigned.tu:
+            assert dataclasses.astuple(unsigned.witness) == dataclasses.astuple(mixed.witness)
+            assert mixed.witness.kind == "mixed-" + unsigned.witness.kind
+        key = "tu" if unsigned.tu else unsigned.witness.kind
+        kinds[key] = kinds.get(key, 0) + 1
+    assert min(kinds.get(k, 0) for k in ("tu", "odd-cycle", "odd-tree-house")) >= 100

@@ -49,6 +49,25 @@ def test_batch_det_matches_det_exact():
         assert got.tolist() == want
 
 
+def test_batch_det_is_exact_or_refused():
+    # each elimination step multiplies two minors in int64: a matrix whose
+    # Hadamard bound H has 2 H^2 near or past 2^63 must be refused, not wrapped
+    rng = Xoshiro256StarStar(66)
+    exact = refused = 0
+    for _ in range(300):
+        n, bits = 2 + rng.randrange(3), 1 + rng.randrange(21)
+        m = np.array([[rng.randrange(2 << bits) - (1 << bits) for _ in range(n)]
+                      for _ in range(n)], dtype=np.int64)
+        try:
+            got = linalg.batch_det_exact(m[None])
+        except SizeGuardError:
+            refused += 1
+            continue
+        exact += 1
+        assert int(got[0]) == linalg.det_exact(m), m
+    assert exact > 50 and refused > 50
+
+
 def test_max_abs_subdet_examples():
     fig1 = core.incidence_matrix(core.fixture("fig1"))
     res = linalg.max_abs_subdet(fig1)
