@@ -117,10 +117,13 @@ class Hypergraph:
         for edge in edges:
             # every name is a string, so a member that is not one is unknown
             try:
-                ids = sorted({index[v] for v in edge})
+                ids = [index[v] for v in edge]
             except (KeyError, TypeError):
                 raise InputError(f"edge {edge!r} references an unknown vertex") from None
-            out.append(tuple(ids))
+            unique = sorted(set(ids))
+            if len(unique) != len(ids):
+                raise InputError(f"edge {edge!r} repeats a vertex")
+            out.append(tuple(unique))
         return cls(names, tuple(out))
 
 
@@ -192,11 +195,13 @@ class MixedHypergraph:
         out = []
         for heads, tails in arcs:
             try:
-                s = tuple(sorted({index[v] for v in heads}))
-                t = tuple(sorted({index[v] for v in tails}))
+                s = [index[v] for v in heads]
+                t = [index[v] for v in tails]
             except (KeyError, TypeError):
                 raise InputError(f"arc {(heads, tails)!r} references an unknown vertex") from None
-            out.append((s, t))
+            if len(set(s)) != len(s) or len(set(t)) != len(t):
+                raise InputError(f"arc {(heads, tails)!r} repeats a vertex on one side")
+            out.append((tuple(sorted(s)), tuple(sorted(t))))
         return cls(names, tuple(out))
 
 

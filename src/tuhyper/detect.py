@@ -348,9 +348,13 @@ def _search(host, max_nodes: int, kind: _Kind | None = None, *, cycle: bool = Tr
             tree_house: bool = True):
     """A shortest odd cycle in host, else its first odd tree house, each
     re-verified; None when the phases run find neither.  `kind` defaults to
-    the table entry of the host's type."""
+    the table entry of the host's type, and an explicit `kind` must be it."""
     sys = _System(host)
-    kind = kind or _KINDS[type(host)]
+    own = _KINDS[type(host)]
+    if kind is not None and kind is not own:
+        want = next(t for t, k in _KINDS.items() if k is kind)
+        raise InputError(f"expected a {want.__name__}, got {type(host).__name__}")
+    kind = own
     w = None
     if cycle:
         w = _checked(host, kind.cycle, kind.cycle_phase,

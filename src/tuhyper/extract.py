@@ -72,7 +72,13 @@ class EulerianCore:
 
 
 def find_eulerian_core(g: Hypergraph, max_vertices: int = 16) -> EulerianCore:
-    """Smallest Eulerian selection witnessing non-unimodularity by support count."""
+    """Smallest Eulerian selection witnessing non-unimodularity by support count.
+
+    A core covers its vertex set, so only the vertices left by degree-2
+    peeling can be in it (see `linalg._core_vertices` for why), and
+    `max_vertices` bounds their number, not the host's: pendant trees and
+    isolated vertices cost nothing.
+    """
     masks = list(g.edge_masks)
     for umask, fmask in _eulerian_selections(masks, g.n_vertices, max_vertices):
         if fmask.bit_count() != umask.bit_count():
@@ -84,7 +90,7 @@ def find_eulerian_core(g: Hypergraph, max_vertices: int = 16) -> EulerianCore:
         for eid in fs:
             trace = masks[eid] & umask
             covered |= trace
-            supp += bin(trace).count("1")
+            supp += trace.bit_count()
         if covered != umask or supp % 4 != 2:
             continue
         renum = {v: i for i, v in enumerate(us)}
@@ -674,7 +680,12 @@ class ExtractionResult:
 def extract_witness(g: Hypergraph, max_nodes: int = DEFAULT_SEARCH_BUDGET,
                     max_vertices: int = 16) -> ExtractionResult:
     """Produce a verified odd cycle or odd tree house from a non-TU disjoint
-    hypergraph by executing the support-reduction argument end to end."""
+    hypergraph by executing the support-reduction argument end to end.
+
+    `max_vertices` bounds, at every level of the recursion, the vertices
+    that survive degree-2 peeling (the only ones an Eulerian core can use,
+    see `find_eulerian_core`); larger peeled sets raise SizeGuardError.
+    """
     if not is_disjoint(g):
         raise PreconditionError("extraction requires a disjoint hypergraph")
     trace: list[dict] = []

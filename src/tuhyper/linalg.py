@@ -316,24 +316,85 @@ def _gf2_nullspace(columns: list[int]) -> list[int]:
     return basis
 
 
-def _eulerian_selections(masks: list[int], n_vertices: int, guard: int):
+def _core_vertices(masks: list[int], n: int) -> int:
+    """Mask of the vertices an Eulerian core can use: peel range(n) by
+    dropping every vertex on fewer than two edges that meet the remaining
+    set in two or more vertices, until nothing drops.
+
+    Sound because in an Eulerian selection (U, F) where F covers U, every
+    vertex of U is covered an even, nonzero number of times by edges whose
+    traces on U are even and nonempty, so it lies on at least two edges that
+    meet U in at least two vertices.  Such an edge meets every superset of U
+    in two or more vertices as well, so a round that starts from a superset
+    of U drops no vertex of U: by induction U stays inside the peeled set.
+    """
+    alive = (1 << n) - 1
+    while True:
+        once = twice = 0
+        for m in masks:
+            t = m & alive
+            if t & (t - 1):  # two or more remaining vertices
+                twice |= once & t
+                once |= t
+        if twice == alive:
+            return alive
+        alive = twice
+
+
+def _subset_masks(vertices: list[int]) -> list[int]:
+    """table[c] is the vertex mask of {vertices[i] : bit i of c is set}."""
+    table = [0]
+    for v in vertices:
+        table += [m | 1 << v for m in table]
+    return table
+
+
+def _eulerian_selections(masks: list[int], n_vertices: int, guard: int,
+                         peel: bool = True):
     """Yield (umask, edge_subset_mask) for Eulerian selections, smallest U first.
 
-    `masks` are the vertex masks of the hyperedge supports.  For each vertex
-    set U the admissible column sets are the GF(2) nullspace of the parity
-    system "every vertex of U is covered an even number of times", restricted
-    to edges whose trace in U is even and nonempty.
+    `masks` are the vertex masks of the hyperedge supports.  Vertex sets U
+    come by popcount, then by mask value.  For each U the admissible column
+    sets are the GF(2) nullspace of the parity system "every vertex of U is
+    covered an even number of times", restricted to edges whose trace in U
+    is even and nonempty; they come in the order of the nonzero
+    combinations of that nullspace's basis.
+
+    With `peel` (the default) only the selections that can cover U are
+    sought: U runs over the subsets of the peeled set P of `_core_vertices`,
+    and a U with a vertex on fewer than two admissible edges is skipped
+    (no F covers it).  The output is then the full walk's with those U
+    removed, and every selection (U, F) in which F covers U is still in it,
+    at the same relative place.  `guard` bounds |P|.  Without `peel`, P is
+    all of range(n_vertices) and no U is skipped.
     """
-    if n_vertices > guard:
+    core = _core_vertices(masks, n_vertices) if peel else (1 << n_vertices) - 1
+    verts = list(_bits(core))
+    if len(verts) > guard:
+        counted = "vertices left by peeling" if peel else "vertices"
         raise SizeGuardError(
-            f"desk-scale exceeded: {n_vertices} vertices > {guard} for the "
+            f"desk-scale exceeded: {len(verts)} {counted} > {guard} for the "
             "Eulerian-subhypergraph enumeration"
         )
-    for umask in _masks_by_size_then_value(n_vertices):
-        cand = [(eid, m & umask) for eid, m in enumerate(masks)]
-        cand = [(eid, t) for eid, t in cand if t and bin(t).count("1") % 2 == 0]
+    # Depositing the subsets of range(|P|) onto P's vertex ids keeps their
+    # order; two tables, one per half of P, make each deposit two lookups.
+    half = len(verts) // 2
+    lo, hi = _subset_masks(verts[:half]), _subset_masks(verts[half:])
+    low_bits = (1 << half) - 1
+    # an edge with fewer than two vertices in P is never admissible
+    edges = [(eid, m) for eid, m in enumerate(masks) if (m & core).bit_count() >= 2]
+    for c in _masks_by_size_then_value(len(verts)):
+        umask = lo[c & low_bits] | hi[c >> half]
+        cand = [(eid, t) for eid, m in edges if (t := m & umask) and not t.bit_count() & 1]
         if not cand:
             continue
+        if peel:
+            once = twice = 0
+            for _, t in cand:
+                twice |= once & t
+                once |= t
+            if twice != umask:
+                continue
         basis = _gf2_nullspace([t for _, t in cand])
         if not basis:
             continue
@@ -363,10 +424,16 @@ def camion_unimodular(g: Hypergraph, max_vertices: int = 16) -> CamionResult:
     The matrix is totally unimodular iff every Eulerian partial subhypergraph
     has support size divisible by four; the first violating selection (by
     vertex-set size, then lexicographic) is returned as the witness.
+
+    That first selection (U, F) always has F covering U: were v in U
+    uncovered, (U - v, F) would be Eulerian with the same support and come
+    earlier.  So the peeled walk of `_eulerian_selections` finds it, and
+    `max_vertices` bounds the number of vertices left by peeling (see
+    `_core_vertices`), not the host's.
     """
     masks = list(g.edge_masks)
     for umask, fmask in _eulerian_selections(masks, g.n_vertices, max_vertices):
-        supp = sum(bin(masks[e] & umask).count("1") for e in _bits(fmask))
+        supp = sum((masks[e] & umask).bit_count() for e in _bits(fmask))
         if supp % 4 != 0:
             sel = SubSelection(tuple(_bits(umask)), tuple(_bits(fmask)))
             return CamionResult(False, sel, supp)
@@ -379,19 +446,22 @@ def camion_unimodular_mixed(d: MixedHypergraph, max_vertices: int = 16) -> Camio
     The matrix is totally unimodular iff every Eulerian partial subhypergraph
     with as many vertices as arcs has entry sum divisible by four.  Arcs with
     empty trace in U act as zero columns and may pad the selection to make it
-    square.
+    square.  Those zero rows are why this test walks every vertex subset
+    (a first violating selection might leave a vertex of U uncovered), so
+    `max_vertices` bounds the host's vertex count.
     """
     supports = list(d.support_masks)
     heads = list(d.head_masks)
     tails = list(d.tail_masks)
-    for umask, fmask in _eulerian_selections(supports, d.n_vertices, max_vertices):
+    for umask, fmask in _eulerian_selections(supports, d.n_vertices, max_vertices,
+                                             peel=False):
         chosen = tuple(_bits(fmask))
-        u_size = bin(umask).count("1")
+        u_size = umask.bit_count()
         zero_arcs = [a for a in range(d.n_arcs) if supports[a] & umask == 0]
         if not (len(chosen) <= u_size <= len(chosen) + len(zero_arcs)):
             continue
         total = sum(
-            bin(heads[a] & umask).count("1") - bin(tails[a] & umask).count("1")
+            (heads[a] & umask).bit_count() - (tails[a] & umask).bit_count()
             for a in chosen
         )
         if total % 4 != 0:

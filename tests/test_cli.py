@@ -198,6 +198,14 @@ def test_malformed_instances_are_input_errors(tmp_path):
                                           "arcs": [{"plus": [0, 1]},
                                                    {"plus": [0], "minus": [1]}]}),
                       ("arc-not-an-object", {"vertices": ["a", "b"], "arcs": ["ab"]}),
+                      # a name repeated inside one edge or arc side would be merged
+                      ("edge-repeats-name", {"vertices": ["a", "b"], "edges": [["a", "a"]]}),
+                      ("arc-plus-repeats-name", {"vertices": ["a", "b"],
+                                                 "arcs": [{"plus": ["a", "a"],
+                                                           "minus": ["b"]}]}),
+                      ("arc-minus-repeats-name", {"vertices": ["a", "b", "c"],
+                                                  "arcs": [{"plus": ["a"],
+                                                            "minus": ["b", "c", "b"]}]}),
                       # exactly one of edges and arcs
                       ("edges-and-arcs", {"vertices": ["a", "b", "c"],
                                           "edges": [["a", "b"], ["b", "c"], ["a", "c"]],

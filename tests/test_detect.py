@@ -314,3 +314,12 @@ def test_unsigned_decision_is_the_all_head_mixed_decision():
         key = "tu" if unsigned.tu else unsigned.witness.kind
         kinds[key] = kinds.get(key, 0) + 1
     assert min(kinds.get(k, 0) for k in ("tu", "odd-cycle", "odd-tree-house")) >= 100
+
+
+def test_a_host_of_the_other_type_is_an_input_error():
+    fig1, fig5 = core.fixture("fig1"), core.fixture("fig5")
+    for run, host in ((decide_unimodular_disjoint, fig5), (find_odd_cycle, fig5),
+                      (find_odd_tree_house, fig5), (decide_unimodular_mixed_disjoint, fig1),
+                      (find_mixed_odd_cycle, fig1), (find_mixed_odd_tree_house, fig1)):
+        with pytest.raises(InputError, match="expected a"):
+            run(host)

@@ -3,7 +3,7 @@ import pytest
 from tuhyper import core, detect, linalg
 from tuhyper.core import Hypergraph
 from tuhyper.detect import OddCycleWitness, OddTreeHouseWitness, verify_witness
-from tuhyper.errors import PreconditionError
+from tuhyper.errors import PreconditionError, SizeGuardError
 from tuhyper.extract import (
     NiceCycle,
     _assert_candidate,
@@ -35,6 +35,43 @@ def test_extract_triangle_in_larger_host():
     res = extract_witness(g)
     assert isinstance(res.witness, OddCycleWitness)
     assert verify_witness(g, res.witness)
+
+
+def test_size_guard_counts_only_the_vertices_left_by_peeling():
+    # a triangle plus 14 isolated vertices: 17 vertices, 3 of them peeled
+    names = ["a", "b", "c"] + [f"i{k}" for k in range(14)]
+    g = Hypergraph.from_names(names, [["a", "b"], ["b", "c"], ["a", "c"]])
+    res = extract_witness(g)
+    assert isinstance(res.witness, OddCycleWitness)
+    assert sorted(res.witness.vertices) == [0, 1, 2]
+    cam = linalg.camion_unimodular(g)
+    assert (cam.witness.vertices, cam.witness.edge_ids, cam.value) == ((0, 1, 2), (0, 1, 2), 6)
+
+
+def test_extract_planted_odd_cycle_with_a_pendant_tree_past_sixteen_vertices():
+    # a 5-cycle with a 13-vertex pendant tree of edges and triples at c0
+    cycle = [[f"c{i}", f"c{(i + 1) % 5}"] for i in range(5)]
+    tree = [["c0", "t0"], ["t0", "t1", "t2"], ["t1", "t3"], ["t1", "t4", "t5"],
+            ["t2", "t6"], ["t6", "t7"], ["t6", "t8", "t9"], ["t9", "t10"],
+            ["t10", "t11", "t12"]]
+    names = [f"c{i}" for i in range(5)] + [f"t{i}" for i in range(13)]
+    g = Hypergraph.from_names(names, tree[:4] + cycle + tree[4:])
+    assert g.n_vertices == 18
+    res = extract_witness(g)
+    assert isinstance(res.witness, OddCycleWitness)
+    assert sorted(res.witness.vertices) == [0, 1, 2, 3, 4]
+    assert verify_witness(g, res.witness)
+
+
+def test_size_guard_names_the_peeled_vertex_count():
+    # a 17-cycle survives peeling whole; its three pendant vertices do not
+    names = [f"c{i}" for i in range(17)] + ["p0", "p1", "p2"]
+    edges = [[f"c{i}", f"c{(i + 1) % 17}"] for i in range(17)]
+    edges += [["c0", "p0"], ["p0", "p1"], ["c5", "p2"]]
+    g = Hypergraph.from_names(names, edges)
+    for run in (extract_witness, find_eulerian_core, linalg.camion_unimodular):
+        with pytest.raises(SizeGuardError, match="17 vertices left by peeling > 16"):
+            run(g)
 
 
 def test_extract_rejects_tu_input():

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 
@@ -5,7 +6,8 @@ import numpy as np
 import pytest
 
 from tuhyper import core, linalg
-from tuhyper.errors import InputError, SizeGuardError
+from tuhyper.errors import InputError, PreconditionError, SizeGuardError
+from tuhyper.extract import find_eulerian_core
 from tuhyper.gen import GenConfig, Xoshiro256StarStar, generate
 
 from _oracles import delta_exhaustive, det_cofactor, is_tu_cofactor
@@ -293,3 +295,100 @@ def test_large_entries_are_exact_or_refused():
                                                 if abs(d) == delta)
         assert violation == next(((rs, cs, d) for rs, cs, d in minors if abs(d) >= 2), None)
     assert exact > 10 and refused > 10
+
+
+@functools.lru_cache(maxsize=None)
+def _by_size_then_value(n):
+    return sorted(range(1, 1 << n), key=lambda m: (bin(m).count("1"), m))
+
+
+def _reference_selections(masks, n):
+    """(U, F) masks in the unpeeled order: every nonempty U by popcount,
+    then value; per U, the nonzero combinations of the GF(2) nullspace
+    basis of the edges with even, nonempty trace on U."""
+    for umask in _by_size_then_value(n):
+        cand = [(eid, t) for eid, m in enumerate(masks)
+                if (t := m & umask) and t.bit_count() % 2 == 0]
+        if len(cand) < 2:
+            continue
+        basis = linalg._gf2_nullspace([t for _, t in cand])
+        for bits in range(1, 1 << len(basis)):
+            combo = 0
+            for k, b in enumerate(basis):
+                if bits >> k & 1:
+                    combo ^= b
+            yield umask, sum(1 << eid for i, (eid, _) in enumerate(cand) if combo >> i & 1)
+
+
+def _reference_core_and_camion(g):
+    """(vmap, emap) of the first covering Eulerian selection with |U| = |F|
+    and support 2 mod 4, and (U, F, support) of the first one with support
+    not divisible by four; None where there is none."""
+    masks = g.edge_masks
+    core_sel = camion = None
+    for umask, fmask in _reference_selections(masks, g.n_vertices):
+        fs = [e for e in range(len(masks)) if fmask >> e & 1]
+        supp = sum((masks[e] & umask).bit_count() for e in fs)
+        covered = 0
+        for e in fs:
+            covered |= masks[e] & umask
+        us = tuple(v for v in range(g.n_vertices) if umask >> v & 1)
+        if camion is None and supp % 4:
+            camion = (us, tuple(fs), supp)
+        if core_sel is None and len(fs) == len(us) and covered == umask and supp % 4 == 2:
+            core_sel = (us, tuple(fs))
+        if camion is not None and core_sel is not None:
+            break
+    return core_sel, camion
+
+
+def _padded_host(seed):
+    """A seeded unsigned host of at most 12 vertices: a generated host with
+    pendant trees, isolated vertices and a duplicated edge added, its
+    vertex ids shuffled."""
+    rng = Xoshiro256StarStar(seed)
+    g, _ = generate(GenConfig(seed=seed, n_vertices=3 + seed % 5,
+                              n_small_edges=2 + seed % 6,
+                              proper_edge_sizes=((), (3,), (4,), (3, 3))[seed % 4],
+                              disjoint=seed % 3 != 0))
+    n = g.n_vertices
+    edges = [list(e) for e in g.edges]
+    for _ in range(rng.randrange(3)):  # pendant edges and triples hang off the host
+        size = 2 + (rng.randrange(3) == 0)
+        if n + size - 1 > 12:
+            break
+        edges.append([rng.randrange(n)] + list(range(n, n + size - 1)))
+        n += size - 1
+    n += rng.randrange(min(2, 12 - n) + 1)  # isolated vertices
+    if edges and rng.randrange(3) == 0:
+        edges.append(list(edges[rng.randrange(len(edges))]))
+    perm = list(range(n))
+    for i in range(n - 1, 0, -1):
+        j = rng.randrange(i + 1)
+        perm[i], perm[j] = perm[j], perm[i]
+    return core.Hypergraph(tuple(f"x{i}" for i in range(n)),
+                           tuple(tuple(sorted(perm[v] for v in e)) for e in edges))
+
+
+def test_peeled_walk_matches_the_unpeeled_reference():
+    checked = non_tu = peeled = seed = 0
+    while checked < 2000:
+        seed += 1
+        try:
+            g = _padded_host(910_000 + seed)
+        except InputError:
+            continue
+        peeled += linalg._core_vertices(g.edge_masks, g.n_vertices) != (1 << g.n_vertices) - 1
+        want_core, want_camion = _reference_core_and_camion(g)
+        got = linalg.camion_unimodular(g)
+        if want_camion is None:
+            assert got.unimodular and want_core is None, seed
+            with pytest.raises(PreconditionError):
+                find_eulerian_core(g)
+        else:
+            assert (got.witness.vertices, got.witness.edge_ids, got.value) == want_camion, seed
+            c = find_eulerian_core(g)
+            assert (c.vmap, c.emap) == want_core, seed
+            non_tu += 1
+        checked += 1
+    assert non_tu > 800 and peeled > 1000

@@ -3,6 +3,7 @@ removed or renamed target would break a traced run, so each one must exist."""
 
 import importlib
 import importlib.util
+import inspect
 import pathlib
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -16,3 +17,8 @@ def test_every_traced_span_target_resolves():
     for module, name in tracing.SPAN_TARGETS:
         target = getattr(importlib.import_module(f"tuhyper.{module}"), name, None)
         assert callable(target), f"{module}.{name}"
+    # traced as generators: each resumption is one span
+    for name in tracing.GENERATORS:
+        module, _, fname = name.partition(".")
+        target = getattr(importlib.import_module(f"tuhyper.{module}"), fname)
+        assert inspect.isgeneratorfunction(target), name
