@@ -2,8 +2,9 @@
 
 Exit codes: 0 = answered (no violation), 1 = a property violation was found
 (not TU, witness found, invalid certificate, selftest failure), 2 = input
-error, 3 = size guard or search budget exceeded, 70 = internal-consistency
-failure (a machine-checked extraction step failed; please report it).
+error, 3 = size guard or search budget exceeded, 70 = internal failure (a
+machine-checked extraction step failed, or any other unexpected error;
+please report it).
 """
 
 from __future__ import annotations
@@ -216,12 +217,16 @@ def _parse_plant(text: str) -> gen.Plant:
 
 
 def _cmd_gen(args) -> int:
-    plant = _parse_plant(args.plant) if args.plant else None
+    try:
+        plant = _parse_plant(args.plant) if args.plant else None
+        sizes = tuple(int(x) for x in args.proper_sizes.split(",") if x)
+    except ValueError as exc:  # int() of a malformed number
+        raise InputError(f"malformed --plant or --proper-sizes ({exc})") from None
     cfg = gen.GenConfig(
         seed=args.seed,
         n_vertices=args.vertices,
         n_small_edges=args.small_edges,
-        proper_edge_sizes=tuple(int(x) for x in args.proper_sizes.split(",") if x),
+        proper_edge_sizes=sizes,
         disjoint=not args.no_disjoint,
         mixed=args.mixed or (plant is not None and plant.kind.startswith("mixed")),
         plant=plant,
@@ -409,6 +414,9 @@ def main(argv=None) -> int:
         return 3
     except InternalConsistencyError as exc:
         print(f"internal consistency failure: {exc}", file=sys.stderr)
+        return 70
+    except Exception as exc:  # a crash must not read as 1, "violation found"
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 70
 
 

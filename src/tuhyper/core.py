@@ -94,6 +94,11 @@ class Hypergraph:
     def edge_masks(self) -> tuple[int, ...]:
         return self._masks  # type: ignore[attr-defined]
 
+    support_masks = head_masks = edge_masks  # all-head, as a MixedHypergraph
+
+    def support(self, eid: int) -> tuple[int, ...]:
+        return self.edges[eid]
+
     def vertex_id(self, name: str) -> int:
         try:
             return self._index[name]  # type: ignore[attr-defined]
@@ -154,6 +159,8 @@ class MixedHypergraph:
                 raise InputError(f"arc {aid} has a vertex on both sides")
         object.__setattr__(self, "_smasks", tuple(_mask(s) for s, _ in self.arcs))
         object.__setattr__(self, "_tmasks", tuple(_mask(t) for _, t in self.arcs))
+        object.__setattr__(self, "_umasks",
+                           tuple(s | t for s, t in zip(self._smasks, self._tmasks)))
         object.__setattr__(self, "_index", {nm: v for v, nm in enumerate(self.names)})
 
     @property
@@ -174,7 +181,7 @@ class MixedHypergraph:
 
     @property
     def support_masks(self) -> tuple[int, ...]:
-        return tuple(s | t for s, t in zip(self.head_masks, self.tail_masks))
+        return self._umasks  # type: ignore[attr-defined]
 
     def vertex_id(self, name: str) -> int:
         try:
@@ -220,7 +227,7 @@ class SubSelection:
 
     def validate(self, g) -> None:
         n = g.n_vertices
-        m = g.n_edges if isinstance(g, Hypergraph) else g.n_arcs
+        m = len(g.support_masks)
         if self.vertices and (self.vertices[0] < 0 or self.vertices[-1] >= n):
             raise InputError("selection references an unknown vertex")
         if self.edge_ids and (self.edge_ids[0] < 0 or self.edge_ids[-1] >= m):
@@ -279,8 +286,7 @@ def induce(g: Hypergraph, sel: SubSelection) -> Induced:
 
 def overlapping_proper_edges(g) -> tuple[int, int] | None:
     """First pair of size->=4 hyperedges/arc supports sharing a vertex, if any."""
-    masks = g.edge_masks if isinstance(g, Hypergraph) else g.support_masks
-    big = [(i, m) for i, m in enumerate(masks) if bin(m).count("1") >= 4]
+    big = [(i, m) for i, m in enumerate(g.support_masks) if bin(m).count("1") >= 4]
     for a in range(len(big)):
         for b in range(a + 1, len(big)):
             if big[a][1] & big[b][1]:

@@ -16,9 +16,11 @@ other search is complete backtracking over vertex sequences and host edges.
 The defining subtlety there is that an edge used by a witness must meet the
 witness's *entire* vertex set in exactly the two vertices it connects; this
 is enforced incrementally (every new vertex is checked against all committed
-edges), so no incomplete shortcut is taken.  The node budget counts
-backtracking nodes only.  Every returned witness passes `verify_witness`, a
-separate straight-line checker that shares no state with the search.
+edges), so no incomplete shortcut is taken.  Both phases grow such paths
+in `_paths` on one explicit stack, so no recursion limit bounds their
+length.  The node budget counts backtracking nodes only.  Every returned
+witness passes `verify_witness`, a separate straight-line checker that
+shares no state with the search.
 """
 
 from __future__ import annotations
@@ -144,19 +146,12 @@ class _System:
     __slots__ = ("n", "support", "head", "inc")
 
     def __init__(self, host):
-        if isinstance(host, Hypergraph):
-            self.support = self.head = list(host.edge_masks)
-            members = host.edges
-        elif isinstance(host, MixedHypergraph):
-            self.support = list(host.support_masks)
-            self.head = list(host.head_masks)
-            members = [heads + tails for heads, tails in host.arcs]
-        else:
-            raise InputError(f"expected a hypergraph, got {type(host).__name__}")
         self.n = host.n_vertices
+        self.support = list(host.support_masks)
+        self.head = list(host.head_masks)
         self.inc = inc = [[] for _ in range(self.n)]
-        for eid, edge in enumerate(members):
-            for v in edge:
+        for eid in range(len(self.support)):
+            for v in host.support(eid):
                 inc[v].append(eid)
 
     def is_graph(self) -> bool:
@@ -181,9 +176,9 @@ class _System:
 class _Budget:
     """Node budget of one backtracking search.
 
-    `longest` is the most vertices on a path that `_cycles_of_length` has
-    grown.  Every prefix of a cycle is such a path, so once a pass for
-    length k leaves it below k, no cycle of length k or more exists.
+    `longest` is the most vertices on a path that a cycle search has grown.
+    Every prefix of a cycle is such a path, so once a pass for length k
+    leaves it below k, no cycle of length k or more exists.
     """
 
     __slots__ = ("left", "longest")
@@ -200,48 +195,84 @@ class _Budget:
             )
 
 
-def _cycles_of_length(sys: _System, k: int, budget: _Budget):
-    """All cycles of exactly k edges, canonically anchored, with parity.
+def _paths(sys: _System, budget: _Budget, start: int, target: int, vt: int, forbid: int,
+           want: int, length: int = 0):
+    """Simple paths from `start` that close onto `target` with parity `want`,
+    depth first on one explicit stack; each node spends one unit of budget.
 
-    Yields (vertices, edge_ids, parity).  The anchor is the least cycle
-    vertex; for k > 2 direction is fixed by second < last vertex, for k == 2
-    by ascending edge ids.
+    A path ending at c grows along an edge that meets vt (the vertices so
+    far) in c alone, to a vertex outside vt and forbid (the union of the
+    path's edges); an edge meeting vt in exactly c and target closes it.  No
+    edge is skipped by id: a used one never meets vt so, but for the first
+    edge of a two-edge cycle.  With `length`, start is target, paths close
+    only at `length` vertices, and each cycle comes once: second vertex
+    below last, or for two edges, ascending ids.  Yields the live (vs, ids,
+    vt, forbid) at each closing edge, ids and forbid including it.
     """
     support, head, inc = sys.support, sys.head, sys.inc
+    tbit = 1 << target
+    vs, ids, stack = [start], [], []
+    c, cbit, par = start, 1 << start, 0
+    edges, i, avail = inc[start], 0, 0
+    budget.spend()
+    while True:
+        if avail:  # descend to the next new vertex on edge eid
+            ubit = avail & -avail
+            avail ^= ubit
+            stack.append((c, cbit, edges, i, eid, sup, h, avail, vt, forbid, par))
+            u = ubit.bit_length() - 1
+            par ^= 1 ^ ((h >> c ^ h >> u) & 1)  # _System.pair_parity, inlined
+            vt |= ubit
+            forbid |= sup
+            vs.append(u)
+            ids.append(eid)
+            c, cbit, edges, i, avail = u, ubit, inc[u], 0, 0
+            budget.spend()
+            if len(vs) == length:
+                budget.longest = length
+                if length > 2 and vs[1] > c:
+                    edges = ()
+        elif i < len(edges):
+            eid = edges[i]
+            i += 1
+            sup = support[eid]
+            trace = sup & vt
+            if trace == cbit and len(vs) != length:
+                avail = sup & ~vt & ~forbid
+                h = head[eid]
+            elif trace == cbit | tbit and len(vs) >= length and (length != 2 or eid > ids[0]):
+                h = head[eid]
+                if par ^ 1 ^ ((h >> c ^ h >> target) & 1) == want:
+                    ids.append(eid)
+                    yield vs, ids, vt, forbid | sup
+                    ids.pop()
+        elif stack:
+            c, cbit, edges, i, eid, sup, h, avail, vt, forbid, par = stack.pop()
+            vs.pop()
+            ids.pop()
+        else:
+            return
+
+
+def _cycles_of_length(sys: _System, k: int, budget: _Budget):
+    """Odd-parity cycles of exactly k edges as (vertices, edge_ids), each
+    once: anchored at its least vertex, in the direction `_paths` fixes."""
     for anchor in range(sys.n):
         abit = 1 << anchor
-        above = -(abit << 1)  # vertices > anchor
+        for vs, ids, _, _ in _paths(sys, budget, anchor, anchor, abit, abit - 1, 1, k):
+            yield tuple(vs), tuple(ids)
 
-        def grow(vs, ids, umask, forbid, par):
-            budget.spend()
-            c = vs[-1]
-            cbit = 1 << c
-            if len(vs) == k:
-                budget.longest = k
-                if k > 2 and vs[1] > c:
-                    return
-                for eid in inc[c]:
-                    if eid in ids or support[eid] & umask != cbit | abit:
-                        continue
-                    if k == 2 and eid < ids[0]:
-                        continue
-                    h = head[eid]  # _System.pair_parity, inlined on this hot path
-                    yield vs, ids + [eid], par + 1 - ((h >> c ^ h >> anchor) & 1)
-                return
-            for eid in inc[c]:
-                sup = support[eid]
-                if eid in ids or sup & umask != cbit:
-                    continue
-                h = head[eid]
-                avail = sup & above & ~umask & ~forbid
-                while avail:
-                    ubit = avail & -avail
-                    avail ^= ubit
-                    u = ubit.bit_length() - 1
-                    yield from grow(vs + [u], ids + [eid], umask | ubit, forbid | sup,
-                                    par + 1 - ((h >> c ^ h >> u) & 1))
 
-        yield from grow([anchor], [], abit, 0, 0)
+def _odd_cycles(sys: _System, shortest: int, step: int, budget: _Budget):
+    """All odd-parity cycles of the least length shortest, shortest + step,
+    ... that has one, in search order."""
+    for k in range(shortest, sys.cycle_cap() + 1, step):
+        found = False
+        for hit in _cycles_of_length(sys, k, budget):
+            found = True
+            yield hit
+        if found or budget.longest < k:
+            return
 
 
 def _shortest_odd_closed_walk(sys: _System):
@@ -334,14 +365,7 @@ def _find_cycle(sys: _System, shortest: int, step: int, budget_nodes: int):
     """Shortest odd-parity cycle of length shortest, shortest + step, ..."""
     if sys.is_graph():
         return _shortest_odd_closed_walk(sys)
-    budget = _Budget(budget_nodes)
-    for k in range(shortest, sys.cycle_cap() + 1, step):
-        for vs, ids, par in _cycles_of_length(sys, k, budget):
-            if par % 2 == 1:
-                return tuple(vs), tuple(ids)
-        if budget.longest < k:
-            break
-    return None
+    return next(_odd_cycles(sys, shortest, step, _Budget(budget_nodes)), None)
 
 
 def _search(host, max_nodes: int, kind: _Kind | None = None, *, cycle: bool = True,
@@ -349,12 +373,8 @@ def _search(host, max_nodes: int, kind: _Kind | None = None, *, cycle: bool = Tr
     """A shortest odd cycle in host, else its first odd tree house, each
     re-verified; None when the phases run find neither.  `kind` defaults to
     the table entry of the host's type, and an explicit `kind` must be it."""
+    kind = _kind(host, kind)
     sys = _System(host)
-    own = _KINDS[type(host)]
-    if kind is not None and kind is not own:
-        want = next(t for t, k in _KINDS.items() if k is kind)
-        raise InputError(f"expected a {want.__name__}, got {type(host).__name__}")
-    kind = own
     w = None
     if cycle:
         w = _checked(host, kind.cycle, kind.cycle_phase,
@@ -363,6 +383,15 @@ def _search(host, max_nodes: int, kind: _Kind | None = None, *, cycle: bool = Tr
         w = _checked(host, kind.tree_house, kind.tree_house_phase,
                      _tree_house_search(sys, _Budget(max_nodes)))
     return w
+
+
+def _kind(host, kind: _Kind | None = None) -> _Kind:
+    """The table entry of the host's type; an explicit `kind` must be it."""
+    own = _KINDS.get(type(host))
+    if own is None or kind not in (None, own):
+        want = next((t.__name__ for t, k in _KINDS.items() if k is kind), "hypergraph")
+        raise InputError(f"expected a {want}, got {type(host).__name__}")
+    return own
 
 
 def _checked(host, cls, phase: str, hit):
@@ -392,17 +421,9 @@ def find_mixed_odd_cycle(d: MixedHypergraph, max_nodes: int = DEFAULT_SEARCH_BUD
 
 def shortest_odd_cycles(g: Hypergraph, max_nodes: int = DEFAULT_SEARCH_BUDGET):
     """All odd cycles of minimum length, in search order (empty if none)."""
-    sys = _System(g)
-    budget = _Budget(max_nodes)
-    for k in range(3, sys.cycle_cap() + 1, 2):
-        found = [
-            OddCycleWitness(tuple(vs), tuple(ids))
-            for vs, ids, par in _cycles_of_length(sys, k, budget)
-            if par % 2 == 1
-        ]
-        if found or budget.longest < k:
-            return found
-    return []
+    _kind(g, _KINDS[Hypergraph])
+    return [OddCycleWitness(*hit)
+            for hit in _odd_cycles(_System(g), 3, 2, _Budget(max_nodes))]
 
 
 def _tree_house_search(sys: _System, budget: _Budget):
@@ -428,50 +449,23 @@ def _tree_house_search(sys: _System, budget: _Budget):
                 if len(inc[root]) < 4:
                     continue
                 leaves = tuple(v for v in quad if v != root)
-                targets = tuple(sys.pair_parity(hid, root, leaf) for leaf in leaves)
-                hit = _grow_paths(sys, budget, hid, hsup, root, leaves, targets,
-                                  qmask, hsup, [], [])
+                wants = tuple(sys.pair_parity(hid, root, leaf) for leaf in leaves)
+                hit = _leaf_paths(sys, budget, root, leaves, wants, qmask, hsup)
                 if hit is not None:
                     return (root, leaves, hit[0], hit[1], hid)
     return None
 
 
-def _grow_paths(sys, budget, hid, hsup, root, leaves, targets, vt, forbid,
-                done_paths, done_ids):
-    i = len(done_paths)
-    if i == 3:
-        return tuple(done_paths), tuple(done_ids)
-    leaf = leaves[i]
-    lbit = 1 << leaf
-
-    def grow(path, ids, vt, forbid, par):
-        budget.spend()
-        c = path[-1]
-        cbit = 1 << c
-        for eid in sys.inc[c]:
-            if eid == hid or eid in ids or eid in done_used:
-                continue
-            trace = sys.support[eid] & vt
-            if trace == cbit | lbit and c != leaf:
-                if (par + sys.pair_parity(eid, c, leaf)) % 2 == targets[i] % 2:
-                    hit = _grow_paths(sys, budget, hid, hsup, root, leaves, targets,
-                                      vt, forbid | sys.support[eid],
-                                      done_paths + [tuple(path + [leaf])],
-                                      done_ids + [tuple(ids + [eid])])
-                    if hit is not None:
-                        return hit
-            if trace != cbit:
-                continue
-            avail = sys.support[eid] & ~vt & ~forbid
-            for u in _bits(avail):
-                hit = grow(path + [u], ids + [eid], vt | (1 << u),
-                           forbid | sys.support[eid], par + sys.pair_parity(eid, c, u))
-                if hit is not None:
-                    return hit
-        return None
-
-    done_used = {e for ids in done_ids for e in ids}
-    return grow([root], [], vt, forbid, 0)
+def _leaf_paths(sys: _System, budget: _Budget, root: int, leaves, wants, vt: int, forbid: int):
+    """First (paths, path_edge_ids) from root to each of `leaves`, sharing
+    only the root, path i closing with parity wants[i]; None if none."""
+    if not leaves:
+        return (), ()
+    for vs, ids, vt_i, forbid_i in _paths(sys, budget, root, leaves[0], vt, forbid, wants[0]):
+        rest = _leaf_paths(sys, budget, root, leaves[1:], wants[1:], vt_i, forbid_i)
+        if rest is not None:
+            return ((*vs, leaves[0]),) + rest[0], (tuple(ids),) + rest[1]
+    return None
 
 
 def find_odd_tree_house(g: Hypergraph, max_nodes: int = DEFAULT_SEARCH_BUDGET):
@@ -489,20 +483,13 @@ def find_mixed_odd_tree_house(d: MixedHypergraph, max_nodes: int = DEFAULT_SEARC
 # ---------------------------------------------------------------------------
 
 
-def _edge_support(host, eid: int) -> frozenset[int]:
-    if isinstance(host, Hypergraph):
-        return frozenset(host.edges[eid])
-    return frozenset(host.support(eid))
-
-
 def _meets_exactly(host, vt, ids, parts) -> bool:
     """True iff `ids` are distinct host edges and edge ids[i] meets the
     vertex set vt in exactly the vertices parts[i]."""
-    n_edges = host.n_edges if isinstance(host, Hypergraph) else host.n_arcs
-    if len(set(ids)) != len(ids) or min(ids) < 0 or max(ids) >= n_edges:
+    if len(set(ids)) != len(ids) or min(ids) < 0 or max(ids) >= len(host.support_masks):
         return False
     for eid, part in zip(ids, parts):
-        if _edge_support(host, eid) & vt != part:
+        if vt.intersection(host.support(eid)) != part:
             return False
     return True
 
@@ -535,10 +522,8 @@ def _path_parity(host, vertices, edge_ids) -> int:
     """Sum over edge_ids[t] of its parity restricted to {vertices[t],
     vertices[t + 1]} (cyclically): 1 iff both lie on one side of the arc.
     An unsigned host is all-head, so there every restricted parity is 1."""
-    if isinstance(host, Hypergraph):
-        return len(edge_ids)
-    k = len(vertices)
-    return sum((vertices[t] in host.arcs[eid][0]) == (vertices[(t + 1) % k] in host.arcs[eid][0])
+    k, heads = len(vertices), host.head_masks
+    return sum((heads[eid] >> vertices[t] & 1) == (heads[eid] >> vertices[(t + 1) % k] & 1)
                for t, eid in enumerate(edge_ids))
 
 
@@ -634,8 +619,8 @@ def _require_disjoint(g) -> None:
     pair = overlapping_proper_edges(g)
     if pair is not None:
         a, b = pair
-        sup_a = sorted(g.names[v] for v in _edge_support(g, a))
-        sup_b = sorted(g.names[v] for v in _edge_support(g, b))
+        sup_a = sorted(g.names[v] for v in g.support(a))
+        sup_b = sorted(g.names[v] for v in g.support(b))
         raise NotDisjointError(
             a, b,
             f"input is not disjoint: size->=4 edges {a} {sup_a} and {b} {sup_b} overlap",

@@ -6,7 +6,7 @@ from importlib import resources
 
 import jsonschema
 
-from tuhyper import core
+from tuhyper import cli, core, detect
 
 FIXDIR = resources.files("tuhyper").joinpath("data")
 SCHEMA = json.loads(FIXDIR.joinpath("output_schema.json").read_text())
@@ -231,3 +231,18 @@ def test_unreadable_or_malformed_certificate_is_input_error(tmp_path):
         bad.write_text(json.dumps({"kind": "odd-cycle", "vertices": vertices,
                                    "edge_ids": edge_ids}))
         _assert_input_error(run("check", fixture_path("c3"), "--verify-cert", str(bad)))
+
+
+def test_malformed_gen_options_are_input_errors():
+    for bad in (["--proper-sizes", "x"], ["--plant", "odd-cycle:x"], ["--plant", "odd-cycle:"],
+                ["--plant", "tree-house:1,x,3"]):
+        _assert_input_error(run("gen", "--seed", "1", "--vertices", "5", *bad))
+
+
+def test_unexpected_errors_exit_70_without_a_traceback(monkeypatch, capsys):
+    def crash(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(detect, "_decide", crash)
+    assert cli.main(["check", fixture_path("fig1")]) == 70
+    assert capsys.readouterr().err == "internal error: RuntimeError: boom\n"

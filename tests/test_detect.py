@@ -1,4 +1,7 @@
 import dataclasses
+import gc
+import inspect
+import sys
 import time
 
 import pytest
@@ -6,8 +9,10 @@ import pytest
 from tuhyper import core, linalg
 from tuhyper.core import Hypergraph, MixedHypergraph
 from tuhyper.detect import (
+    DEFAULT_SEARCH_BUDGET,
     _Budget,
     _cycles_of_length,
+    _decide,
     _System,
     MixedOddCycleWitness,
     OddCycleWitness,
@@ -225,8 +230,7 @@ def _exhaustive_odd_cycles(host, lengths):
     sys = _System(host)
     budget = _Budget(10**7)
     for k in lengths:
-        found = [(vs, ids) for vs, ids, par in _cycles_of_length(sys, k, budget)
-                 if par % 2 == 1]
+        found = list(_cycles_of_length(sys, k, budget))
         if found:
             return found
     return []
@@ -320,6 +324,38 @@ def test_a_host_of_the_other_type_is_an_input_error():
     fig1, fig5 = core.fixture("fig1"), core.fixture("fig5")
     for run, host in ((decide_unimodular_disjoint, fig5), (find_odd_cycle, fig5),
                       (find_odd_tree_house, fig5), (decide_unimodular_mixed_disjoint, fig1),
-                      (find_mixed_odd_cycle, fig1), (find_mixed_odd_tree_house, fig1)):
+                      (find_mixed_odd_cycle, fig1), (find_mixed_odd_tree_house, fig1),
+                      (shortest_odd_cycles, fig5)):
         with pytest.raises(InputError, match="expected a"):
             run(host)
+
+
+def _ring_with_a_triple(n):
+    """C_n whose closing edge is widened by one extra vertex: still an odd
+    cycle for odd n, but no graph host, so the backtracking decides it."""
+    names = [f"v{i}" for i in range(n)] + ["x"]
+    edges = [[names[i], names[i + 1]] for i in range(n - 1)] + [[names[-2], names[0], "x"]]
+    return Hypergraph.from_names(names, edges)
+
+
+def test_backtracking_needs_no_frame_per_path_vertex():
+    g = _ring_with_a_triple(101)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 50)
+    try:
+        d = decide_unimodular_disjoint(g)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert not d.tu and d.witness.vertices == tuple(range(101))
+    assert verify_witness(g, d.witness)
+
+
+def test_searches_leave_no_garbage_cycles():
+    gc.collect()
+    gc.disable()
+    try:
+        for host in (core.fixture("fig1"), core.fixture("fig5"), _ring_with_a_triple(31)):
+            _decide(host, DEFAULT_SEARCH_BUDGET)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
