@@ -193,9 +193,6 @@ class MixedHypergraph:
         heads, tails = self.arcs[aid]
         return tuple(sorted(heads + tails))
 
-    def underlying(self) -> Hypergraph:
-        return Hypergraph(self.names, tuple(self.support(a) for a in range(self.n_arcs)))
-
     @classmethod
     def from_names(cls, vertices, arcs) -> "MixedHypergraph":
         names, index = _name_index(vertices)

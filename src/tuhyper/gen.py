@@ -3,6 +3,12 @@
 All randomness comes from xoshiro256** 1.0 seeded through splitmix64, with
 the reference constants, so any implementation of that generator reproduces
 the exact same instances from the same 64-bit seed.
+
+Every member is built as (heads, tails).  An unsigned instance keeps the
+head sides of the all-head case, whose sign coins are the constant 1 and draw
+nothing from the stream; so the unsigned plant is the all-head mixed plant,
+whose restricted parities are all 1, and the forced last parity makes each
+cycle and each tree-house path odd.
 """
 
 from __future__ import annotations
@@ -10,12 +16,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 
 from .core import Hypergraph, MixedHypergraph
-from .detect import (
-    MixedOddCycleWitness,
-    MixedOddTreeHouseWitness,
-    OddCycleWitness,
-    OddTreeHouseWitness,
-)
+from .detect import _KINDS
 from .errors import InputError
 
 __all__ = ["Xoshiro256StarStar", "GenConfig", "Plant", "generate",
@@ -64,9 +65,6 @@ class Xoshiro256StarStar:
             if x < limit:
                 return x % n
 
-    def choice(self, seq):
-        return seq[self.randrange(len(seq))]
-
     def sample(self, seq, k: int) -> list:
         pool = list(seq)
         if k > len(pool):
@@ -83,7 +81,7 @@ class Xoshiro256StarStar:
 @dataclass(frozen=True)
 class Plant:
     """Structure to embed: 'odd-cycle'/'mixed-odd-cycle' with `length`, or
-    'odd-tree-house'/'mixed-odd-tree-house' with three odd `path_lengths`."""
+    'odd-tree-house'/'mixed-odd-tree-house' with three `path_lengths`, odd if unsigned."""
 
     kind: str
     length: int = 0
@@ -125,96 +123,70 @@ def config_from_dict(doc: dict) -> GenConfig:
     )
 
 
-def _random_arc_sides(rng, pair, parity: int):
+def _random_arc_sides(coin, pair, parity: int):
     """Orient a support-2 arc to the requested parity with random signs."""
     a, b = pair
     if parity == 0:
-        return ((a,), (b,)) if rng.coin() else ((b,), (a,))
+        return ((a,), (b,)) if coin() else ((b,), (a,))
     both = tuple(sorted((a, b)))
-    return (both, ()) if rng.coin() else ((), both)
+    return (both, ()) if coin() else ((), both)
 
 
-def _plant_unsigned(cfg: GenConfig, rng):
+def _random_sides(coin, vertices):
+    """(heads, tails) of the vertices, one coin each in order, 1 for a head."""
+    signs = [coin() for _ in vertices]
+    return (tuple(v for v, s in zip(vertices, signs) if s),
+            tuple(v for v, s in zip(vertices, signs) if not s))
+
+
+def _path_arcs(coin, seq, target: int):
+    """Arcs along the vertex sequence seq whose restricted parities sum to
+    target + 1 (mod 2): every parity a coin but the last, which is forced."""
+    parities = [coin() for _ in range(len(seq) - 2)]
+    parities.append((target + 1 + sum(parities)) % 2)
+    return [_random_arc_sides(coin, seq[t:t + 2], parities[t]) for t in range(len(seq) - 1)]
+
+
+def _plant(cfg: GenConfig, coin):
+    """Arcs and witness of the planted structure, if any, and the vertices
+    of its proper arc, which generated proper edges avoid.
+
+    A cycle is a path closed onto vertex 0 with odd parity; a tree house's
+    path i closes onto leaf i so that it and h make an even cycle.
+    """
     p = cfg.plant
-    if p.kind == "odd-cycle":
-        k = p.length
-        if k < 3 or k % 2 == 0:
-            raise InputError("planted odd cycle needs odd length >= 3")
-        if k > cfg.n_vertices:
-            raise InputError("not enough vertices for the planted cycle")
-        edges = [tuple(sorted((i, (i + 1) % k))) for i in range(k)]
-        witness = OddCycleWitness(tuple(range(k)), tuple(range(k)))
-        return edges, witness, set(range(k)), set()
-    if p.kind == "odd-tree-house":
-        lens = p.path_lengths
-        if any(l < 1 or l % 2 == 0 for l in lens):
-            raise InputError("planted tree house needs odd path lengths")
-        need = 1 + sum(lens)
-        if need > cfg.n_vertices:
-            raise InputError("not enough vertices for the planted tree house")
-        edges = []
-        paths = []
-        ids = []
-        nxt = 4  # vertices 0..3 are root and leaves
-        for i, length in enumerate(lens):
-            seq = [0] + list(range(nxt, nxt + length - 1)) + [1 + i]
-            nxt += length - 1
-            paths.append(tuple(seq))
-            ids.append(tuple(range(len(edges), len(edges) + length)))
-            edges.extend(tuple(sorted((seq[t], seq[t + 1]))) for t in range(length))
-        edges.append((0, 1, 2, 3))
-        witness = OddTreeHouseWitness(0, (1, 2, 3), tuple(paths), tuple(ids),
-                                      len(edges) - 1)
-        used = {v for seq in paths for v in seq}
-        return edges, witness, used, {0, 1, 2, 3}
-    raise InputError(f"unknown plant kind {p.kind!r} for an unsigned instance")
-
-
-def _plant_mixed(cfg: GenConfig, rng):
-    p = cfg.plant
-    if p.kind == "mixed-odd-cycle":
-        k = p.length
-        if k < 2 or k > cfg.n_vertices:
-            raise InputError("planted mixed cycle needs 2 <= length <= n_vertices")
-        parities = [rng.coin() for _ in range(k - 1)]
-        parities.append((1 + sum(parities)) % 2)
-        arcs = [
-            _random_arc_sides(rng, (i, (i + 1) % k), parities[i]) for i in range(k)
-        ]
-        witness = MixedOddCycleWitness(tuple(range(k)), tuple(range(k)))
-        return arcs, witness, set(range(k)), set()
-    if p.kind == "mixed-odd-tree-house":
-        lens = p.path_lengths
-        if any(l < 1 for l in lens):
-            raise InputError("planted tree house needs positive path lengths")
-        need = 1 + sum(lens)
-        if need > cfg.n_vertices:
-            raise InputError("not enough vertices for the planted tree house")
-        sides = [rng.coin() for _ in range(4)]  # h signs for r, l1, l2, l3
-        heads = tuple(v for v in range(4) if sides[v])
-        tails = tuple(v for v in range(4) if not sides[v])
-        arcs = []
-        paths = []
-        ids = []
-        nxt = 4
-        for i, length in enumerate(lens):
-            seq = [0] + list(range(nxt, nxt + length - 1)) + [1 + i]
-            nxt += length - 1
-            target = 0 if sides[0] == sides[1 + i] else 1
-            parities = [rng.coin() for _ in range(length - 1)]
-            parities.append((target + 1 + sum(parities)) % 2)
-            ids.append(tuple(range(len(arcs), len(arcs) + length)))
-            arcs.extend(
-                _random_arc_sides(rng, (seq[t], seq[t + 1]), parities[t])
-                for t in range(length)
-            )
-            paths.append(tuple(seq))
-        arcs.append((heads, tails))
-        witness = MixedOddTreeHouseWitness(0, (1, 2, 3), tuple(paths), tuple(ids),
-                                           len(arcs) - 1)
-        used = {v for seq in paths for v in seq}
-        return arcs, witness, used, {0, 1, 2, 3}
-    raise InputError(f"unknown plant kind {p.kind!r} for a mixed instance")
+    if p is None:
+        return [], None, set()
+    kind = _KINDS[MixedHypergraph if cfg.mixed else Hypergraph]
+    if p.kind not in (kind.cycle.kind, kind.tree_house.kind):
+        host = "a mixed" if cfg.mixed else "an unsigned"
+        raise InputError(f"unknown plant kind {p.kind!r} for {host} instance")
+    cycle = p.kind == kind.cycle.kind
+    lens = (p.length,) if cycle else p.path_lengths
+    what, least = ("length", kind.shortest) if cycle else ("path lengths", 1)
+    if not cfg.mixed and any(l % 2 == 0 for l in lens):
+        raise InputError(f"planted {p.kind} needs odd {what}")
+    if min(lens) < least:
+        raise InputError(f"planted {p.kind} needs {what} >= {least}")
+    if (p.length if cycle else 1 + sum(lens)) > cfg.n_vertices:
+        raise InputError(f"not enough vertices for the planted {p.kind}")
+    if cycle:
+        k = tuple(range(p.length))
+        return _path_arcs(coin, [*k, 0], 0), kind.cycle(k, k), set()
+    h = _random_sides(coin, range(4))  # r, l1, l2, l3
+    arcs = []
+    paths = []
+    ids = []
+    nxt = 4  # vertices 0..3 are root and leaves
+    for i, length in enumerate(lens):
+        seq = [0] + list(range(nxt, nxt + length - 1)) + [1 + i]
+        nxt += length - 1
+        ids.append(tuple(range(len(arcs), len(arcs) + length)))
+        arcs += _path_arcs(coin, seq, int((0 in h[0]) != (1 + i in h[0])))
+        paths.append(tuple(seq))
+    arcs.append(h)
+    witness = kind.tree_house(0, (1, 2, 3), tuple(paths), tuple(ids), len(arcs) - 1)
+    return arcs, witness, {0, 1, 2, 3}
 
 
 def generate(cfg: GenConfig):
@@ -226,19 +198,14 @@ def generate(cfg: GenConfig):
     size->=4 edges are drawn from pairwise disjoint vertex pools.
     """
     rng = Xoshiro256StarStar(cfg.seed)
+    coin = rng.coin if cfg.mixed else lambda: 1
     n = cfg.n_vertices
     if n <= 0:
         raise InputError("need at least one vertex")
+    if cfg.n_small_edges < 0:
+        raise InputError("the number of size-2 edges must be >= 0")
     names = tuple(f"v{i}" for i in range(n))
-    witness = None
-    used_by_proper: set[int] = set()
-    members: list = []
-    if cfg.plant is not None:
-        if cfg.mixed:
-            members, witness, _, hverts = _plant_mixed(cfg, rng)
-        else:
-            members, witness, _, hverts = _plant_unsigned(cfg, rng)
-        used_by_proper |= hverts
+    members, witness, used_by_proper = _plant(cfg, coin)
     for size in cfg.proper_edge_sizes:
         if size < 3:
             raise InputError("proper edge sizes must be >= 3")
@@ -250,13 +217,7 @@ def generate(cfg: GenConfig):
             used_by_proper |= set(chosen)
         else:
             chosen = sorted(rng.sample(range(n), size))
-        if cfg.mixed:
-            split = [rng.coin() for _ in chosen]
-            heads = tuple(v for v, s in zip(chosen, split) if s)
-            tails = tuple(v for v, s in zip(chosen, split) if not s)
-            members.append((heads, tails))
-        else:
-            members.append(tuple(chosen))
+        members.append(_random_sides(coin, chosen))
     for _ in range(cfg.n_small_edges):
         if n < 2:
             raise InputError("size-2 edges need at least two vertices")
@@ -264,11 +225,8 @@ def generate(cfg: GenConfig):
         b = rng.randrange(n - 1)
         if b >= a:
             b += 1
-        pair = tuple(sorted((a, b)))
-        if cfg.mixed:
-            members.append(_random_arc_sides(rng, pair, rng.coin()))
-        else:
-            members.append(pair)
+        # the parity coin is drawn before the orientation coin
+        members.append(_random_arc_sides(coin, (min(a, b), max(a, b)), coin()))
     if cfg.mixed:
         return MixedHypergraph(names, tuple(members)), witness
-    return Hypergraph(names, tuple(members)), witness
+    return Hypergraph(names, tuple(heads for heads, _ in members)), witness

@@ -6,15 +6,17 @@ house onto an unbalanced hole.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import Hypergraph, MixedHypergraph, incidence_matrix, mixed_from_matrix
 from .detect import (
+    DEFAULT_SEARCH_BUDGET,
     MixedOddCycleWitness,
-    MixedOddTreeHouseWitness,
     _require_disjoint,
+    _search,
     verify_witness,
 )
 from .errors import InputError, InternalConsistencyError, PreconditionError
@@ -298,71 +300,28 @@ def _whole_cycle_witness(d: MixedHypergraph):
     return w if verify_witness(d, w) else None
 
 
-def _whole_tree_house_witness(d: MixedHypergraph):
-    sizes = [len(d.support(a)) for a in range(d.n_arcs)]
-    props = [a for a, s in enumerate(sizes) if s != 2]
-    if len(props) != 1 or sizes[props[0]] != 4:
-        return None
-    hid = props[0]
-    quad = set(d.support(hid))
-    incid: dict[int, list[int]] = {v: [] for v in range(d.n_vertices)}
-    for a in range(d.n_arcs):
-        if a == hid:
-            continue
-        for v in d.support(a):
-            incid[v].append(a)
-    roots = [v for v in quad if len(incid[v]) == 3]
-    if len(roots) != 1:
-        return None
-    root = roots[0]
-    leaves = tuple(sorted(v for v in quad if v != root))
-    paths = []
-    ids = []
-    for first in sorted(incid[root]):
-        path = [root]
-        arcs = [first]
-        while True:
-            cur, via = path[-1], arcs[-1]
-            nxt = next((v for v in d.support(via) if v != cur), None)
-            if nxt is None or nxt in path:
-                return None
-            path.append(nxt)
-            if nxt in leaves:
-                break
-            following = [a for a in incid[nxt] if a != via]
-            if len(following) != 1:
-                return None
-            arcs.append(following[0])
-        paths.append(tuple(path))
-        ids.append(tuple(arcs))
-    if len(paths) != 3 or tuple(sorted(p[-1] for p in paths)) != leaves:
-        return None
-    by_leaf = {p[-1]: (p, a) for p, a in zip(paths, ids)}
-    w = MixedOddTreeHouseWitness(
-        root=root,
-        leaves=leaves,
-        paths=tuple(by_leaf[l][0] for l in leaves),
-        path_edge_ids=tuple(by_leaf[l][1] for l in leaves),
-        hyperedge_id=hid,
-    )
-    if not verify_witness(d, w):
-        return None
-    used = {hid} | {a for seq in w.path_edge_ids for a in seq}
-    vset = {v for p in w.paths for v in p}
-    if used != set(range(d.n_arcs)) or vset != set(range(d.n_vertices)):
-        return None
-    return w
-
-
 def classify_almost_tu_disjoint(d: MixedHypergraph) -> Classification:
-    """Structural almost-TU classification of a whole disjoint instance."""
+    """Structural almost-TU classification of a whole disjoint instance.
+
+    The whole host is a mixed odd cycle, a mixed odd tree house, or neither.
+    A tree house on all n vertices has n arcs, h on four vertices and the
+    rest on two, and every vertex lies on two arcs but the root, on four.
+    A host of that shape has at most one tree house: h is its only arc on
+    four vertices, the root its only vertex on four arcs, and each leaf ends
+    one chain of two-arc vertices.  So the decider's tree-house phase walks
+    only those chains and finds a whole tree house if there is one, and a
+    witness on all n vertices uses all n arcs.
+    """
     _require_disjoint(d)
     w = _whole_cycle_witness(d)
     if w is not None:
         return Classification("mixed-odd-cycle", w)
-    w = _whole_tree_house_witness(d)
-    if w is not None:
-        return Classification("mixed-odd-tree-house", w)
+    shape = [2] * (d.n_vertices - 1) + [4]
+    degrees = Counter(v for a in range(d.n_arcs) for v in d.support(a))
+    if sorted(m.bit_count() for m in d.support_masks) == shape == sorted(degrees.values()):
+        w = _search(d, DEFAULT_SEARCH_BUDGET, cycle=False)
+        if w is not None and len({v for p in w.paths for v in p}) == d.n_vertices:
+            return Classification("mixed-odd-tree-house", w)
     return Classification("not-almost-tu", None)
 
 

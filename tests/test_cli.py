@@ -235,7 +235,7 @@ def test_unreadable_or_malformed_certificate_is_input_error(tmp_path):
 
 def test_malformed_gen_options_are_input_errors():
     for bad in (["--proper-sizes", "x"], ["--plant", "odd-cycle:x"], ["--plant", "odd-cycle:"],
-                ["--plant", "tree-house:1,x,3"]):
+                ["--plant", "tree-house:1,x,3"], ["--small-edges", "-1"]):
         _assert_input_error(run("gen", "--seed", "1", "--vertices", "5", *bad))
 
 

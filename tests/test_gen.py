@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -48,6 +49,34 @@ def test_same_seed_same_instance_and_json():
     b, _ = generate(cfg)
     assert a == b
     assert json.dumps(core.instance_to_dict(a)) == json.dumps(core.instance_to_dict(b))
+
+
+def test_generated_instances_are_frozen():
+    # regression pin of whole instances: the seeded corpora and the benchmark
+    # set-up all come from `generate`, so its output must not drift silently
+    plants = ((None, Plant("odd-cycle", length=3), Plant("odd-cycle", length=7),
+               Plant("odd-tree-house", path_lengths=(1, 1, 1)),
+               Plant("odd-tree-house", path_lengths=(1, 3, 5))),
+              (None, Plant("mixed-odd-cycle", length=2), Plant("mixed-odd-cycle", length=5),
+               Plant("mixed-odd-tree-house", path_lengths=(1, 2, 3)),
+               Plant("mixed-odd-tree-house", path_lengths=(2, 2, 1))))
+    entries = []
+    for seed in range(50):
+        for mixed in (False, True):
+            for plant in plants[mixed]:
+                cfg = GenConfig(seed=seed, n_vertices=12, n_small_edges=seed % 7,
+                                proper_edge_sizes=((), (3,), (4,), (4, 5))[seed % 4],
+                                disjoint=seed % 3 != 0, mixed=mixed, plant=plant)
+                try:
+                    g, w = generate(cfg)
+                except InputError:
+                    entries.append("error")
+                    continue
+                entries.append([core.instance_to_dict(g),
+                                None if w is None else detect.witness_to_dict(g, w)])
+    assert len(entries) == 500 and entries.count("error") == 32
+    digest = hashlib.sha256(json.dumps(entries, sort_keys=True).encode()).hexdigest()
+    assert digest == "62b14f7d594a5ac55fcb11342958da6eccf80fadd963a9e28f1ad14c476c6d26"
 
 
 def test_plant_odd_cycle_five_is_c5():
@@ -109,6 +138,8 @@ def test_infeasible_configs_rejected():
                            plant=Plant("odd-tree-house", path_lengths=(1, 1, 2))))
     with pytest.raises(InputError):
         generate(GenConfig(seed=0, n_vertices=5, proper_edge_sizes=(2,)))
+    with pytest.raises(InputError):
+        generate(GenConfig(seed=0, n_vertices=5, n_small_edges=-1))
 
 
 def test_config_json_round_trip():

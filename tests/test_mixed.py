@@ -1,3 +1,6 @@
+import itertools
+import time
+
 import numpy as np
 import pytest
 
@@ -6,6 +9,7 @@ from tuhyper.core import MixedHypergraph, as_mixed, incidence_matrix, mixed_from
 from tuhyper.errors import InputError, PreconditionError
 from tuhyper.gen import GenConfig, Plant, Xoshiro256StarStar, generate
 from tuhyper.mixed import (
+    Classification,
     arc_parity,
     build_r_matrix,
     classify_almost_tu_disjoint,
@@ -286,3 +290,71 @@ def test_build_r_planted_tree_houses():
             assert classify_almost_tu_disjoint(
                 mixed_from_matrix(prod)).kind == "mixed-odd-cycle"
             assert abs(linalg.det_exact(prod)) == 2
+
+
+def test_classify_long_planted_tree_house_by_the_tree_house_phase():
+    lens = (101, 103, 105)
+    d, w = generate(GenConfig(seed=9, n_vertices=1 + sum(lens), mixed=True,
+                              plant=Plant("mixed-odd-tree-house", path_lengths=lens)))
+    start = time.perf_counter()
+    cls = classify_almost_tu_disjoint(d)
+    assert time.perf_counter() - start < 1.0
+    assert cls == Classification("mixed-odd-tree-house", w)
+    # moving a path arc between two vertices of another path keeps the host
+    # square with one 4-arc, but it is no tree house any more
+    arcs = list(d.arcs)
+    p3 = w.paths[2]
+    arcs[w.path_edge_ids[0][50]] = ((p3[10], p3[20]), ())
+    moved = MixedHypergraph(d.names, tuple(arcs))
+    assert moved.n_arcs == moved.n_vertices
+    assert classify_almost_tu_disjoint(moved).kind == "not-almost-tu"
+
+
+def test_classify_rejects_a_tree_house_that_misses_vertices():
+    # a (1,1,3) tree house beside a disjoint mixed 3-cycle: square, one
+    # 4-arc, every vertex on two arcs but the root, and the tree-house phase
+    # finds the tree house, which covers only 6 of the 9 vertices
+    th, _ = generate(GenConfig(seed=4, n_vertices=6, mixed=True,
+                               plant=Plant("mixed-odd-tree-house", path_lengths=(1, 1, 3))))
+    ring = (((6,), (7,)), ((7,), (8,)), ((6, 8), ()))
+    d = MixedHypergraph(tuple(f"v{i}" for i in range(9)), th.arcs + ring)
+    assert detect.find_mixed_odd_tree_house(d) is not None
+    assert classify_almost_tu_disjoint(d).kind == "not-almost-tu"
+
+
+def test_classify_skips_the_search_on_a_dense_square_host():
+    # a 4-arc inside 14 vertices joined pairwise by head-tail arcs, padded
+    # with isolated vertices to as many vertices as arcs: no tree house can
+    # close, and the tree-house phase would walk every simple path there
+    arcs = [((a,), (b,)) for a, b in itertools.combinations(range(14), 2)]
+    arcs.append(((0, 1, 2, 3), ()))
+    d = MixedHypergraph(tuple(f"v{i}" for i in range(len(arcs))), tuple(arcs))
+    start = time.perf_counter()
+    assert classify_almost_tu_disjoint(d).kind == "not-almost-tu"
+    assert time.perf_counter() - start < 1.0
+
+
+def _permuted(d, vperm, aperm):
+    """d with its rows and its columns reordered."""
+    doc = core.instance_to_dict(d)
+    return core.load_instance({"vertices": [doc["vertices"][v] for v in vperm],
+                               "arcs": [doc["arcs"][a] for a in aperm]})
+
+
+def test_classification_is_invariant_under_permutation_and_negation():
+    for seed in range(40):
+        rng = Xoshiro256StarStar(80_000 + seed)
+        if seed % 2:
+            plant = Plant("mixed-odd-cycle", length=2 + seed % 9)
+        else:
+            plant = Plant("mixed-odd-tree-house", path_lengths=(1 + seed % 3, 2, 1 + seed % 4))
+        k = plant.length or 1 + sum(plant.path_lengths)
+        d, _ = generate(GenConfig(seed=seed, n_vertices=k, mixed=True, plant=plant))
+        kind = classify_almost_tu_disjoint(d).kind
+        assert kind == plant.kind
+        vperm = rng.sample(range(d.n_vertices), d.n_vertices)
+        aperm = rng.sample(range(d.n_arcs), d.n_arcs)
+        for variant in (_permuted(d, vperm, aperm),
+                        negate_row(d, rng.randrange(d.n_vertices)),
+                        negate_column(d, rng.randrange(d.n_arcs))):
+            assert classify_almost_tu_disjoint(variant).kind == kind

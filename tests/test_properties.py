@@ -1,0 +1,81 @@
+"""Property tests over seeded disjoint hosts: the decision does not depend on
+how vertices and edges are numbered, nor on row and column signs of a mixed
+host, and every witness survives a round trip through JSON."""
+
+import json
+
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from tuhyper import core, detect
+from tuhyper.errors import InputError
+from tuhyper.gen import GenConfig, Plant, generate
+from tuhyper.mixed import negate_column, negate_row
+
+BOUNDED = settings(derandomize=True, max_examples=60, deadline=None)
+
+PLANTS = {
+    False: (None, Plant("odd-cycle", length=3), Plant("odd-cycle", length=5),
+            Plant("odd-tree-house", path_lengths=(1, 1, 3))),
+    True: (None, Plant("mixed-odd-cycle", length=2), Plant("mixed-odd-cycle", length=4),
+           Plant("mixed-odd-tree-house", path_lengths=(1, 2, 2))),
+}
+
+
+@st.composite
+def disjoint_hosts(draw, mixed=None):
+    mixed = draw(st.booleans()) if mixed is None else mixed
+    cfg = GenConfig(seed=draw(st.integers(0, 2**32)), n_vertices=draw(st.integers(4, 11)),
+                    n_small_edges=draw(st.integers(0, 9)),
+                    proper_edge_sizes=draw(st.sampled_from(((), (3,), (4,), (3, 4), (4, 5)))),
+                    mixed=mixed, plant=draw(st.sampled_from(PLANTS[mixed])))
+    try:
+        host, _ = generate(cfg)
+    except InputError:
+        assume(False)
+    return host
+
+
+def _verdict(host) -> bool:
+    return detect._decide(host, detect.DEFAULT_SEARCH_BUDGET).tu
+
+
+def _relabelled(host, vperm, eperm):
+    """host with its vertex list and its edge list reordered."""
+    doc = core.instance_to_dict(host)
+    members = "arcs" if "arcs" in doc else "edges"
+    return core.load_instance({"vertices": [doc["vertices"][v] for v in vperm],
+                               members: [doc[members][e] for e in eperm]})
+
+
+@BOUNDED
+@given(data=st.data())
+def test_decision_is_invariant_under_relabelling(data):
+    host = data.draw(disjoint_hosts())
+    vperm = data.draw(st.permutations(range(host.n_vertices)))
+    eperm = data.draw(st.permutations(range(len(host.support_masks))))
+    assert _verdict(_relabelled(host, vperm, eperm)) == _verdict(host)
+
+
+@BOUNDED
+@given(data=st.data())
+def test_mixed_decision_is_invariant_under_row_and_column_negation(data):
+    d = data.draw(disjoint_hosts(mixed=True))
+    rows = data.draw(st.sets(st.integers(0, d.n_vertices - 1)))
+    cols = data.draw(st.sets(st.integers(0, d.n_arcs - 1))) if d.n_arcs else set()
+    negated = d
+    for v in rows:
+        negated = negate_row(negated, v)
+    for a in cols:
+        negated = negate_column(negated, a)
+    assert _verdict(negated) == _verdict(d)
+
+
+@BOUNDED
+@given(host=disjoint_hosts())
+def test_witnesses_round_trip_through_json_and_reverify(host):
+    w = detect._decide(host, detect.DEFAULT_SEARCH_BUDGET).witness
+    assume(w is not None)
+    back = detect.witness_from_dict(host, json.loads(json.dumps(detect.witness_to_dict(host, w))))
+    assert back == w
+    assert detect.verify_witness(host, back)
