@@ -18,9 +18,12 @@ witness's *entire* vertex set in exactly the two vertices it connects; this
 is enforced incrementally (every new vertex is checked against all committed
 edges), so no incomplete shortcut is taken.  Both phases grow such paths
 in `_paths` on one explicit stack, so no recursion limit bounds their
-length.  The node budget counts backtracking nodes only.  Every returned
-witness passes `verify_witness`, a separate straight-line checker that
-shares no state with the search.
+length, and a path grows to a new vertex only if its target can still be
+reached from there, so branches that cannot close are cut without changing
+the search order.  The node budget counts backtracking nodes and the
+vertices those reachability tests expand; an exhausted budget says how far
+the search got.  Every returned witness passes `verify_witness`, a separate
+straight-line checker that shares no state with the search.
 """
 
 from __future__ import annotations
@@ -143,7 +146,7 @@ class _System:
     as a scan over all edges that skips those missing v.
     """
 
-    __slots__ = ("n", "support", "head", "inc")
+    __slots__ = ("n", "support", "head", "inc", "_nb")
 
     def __init__(self, host):
         self.n = host.n_vertices
@@ -153,6 +156,20 @@ class _System:
         for eid in range(len(self.support)):
             for v in host.support(eid):
                 inc[v].append(eid)
+        self._nb = None
+
+    def neighbours(self) -> list[int]:
+        """`nb[v]`: the union of the supports of v's edges, minus v; built
+        on first use, so hosts that never backtrack do not pay for it."""
+        if self._nb is None:
+            support = self.support
+            self._nb = [0] * self.n
+            for v, eids in enumerate(self.inc):
+                m = 0
+                for eid in eids:
+                    m |= support[eid]
+                self._nb[v] = m & ~(1 << v)
+        return self._nb
 
     def is_graph(self) -> bool:
         return all(sup.bit_count() <= 2 for sup in self.support)
@@ -174,25 +191,42 @@ class _System:
 
 
 class _Budget:
-    """Node budget of one backtracking search.
+    """Node budget of one backtracking search, and how far the search got.
 
-    `longest` is the most vertices on a path that a cycle search has grown.
-    Every prefix of a cycle is such a path, so once a pass for length k
-    leaves it below k, no cycle of length k or more exists.
+    `_paths` spends one unit on each path node and one on each vertex that
+    its reachability test expands.  `longest` is the most vertices on a
+    path that a cycle search has grown.  A path is grown only while its
+    anchor can still be reached from its end, and every prefix of a cycle
+    can reach it, so once a pass for length k leaves `longest` below k, no
+    cycle of length k or more exists.
+
+    `what` is the witness kind searched ("odd-cycle", ...), `ruled_out`
+    the kind an earlier phase proved absent, if any, and a cycle search
+    sets `length` to the pass it runs; they are read only to word the
+    error that an exhausted budget raises.
     """
 
-    __slots__ = ("left", "longest")
+    __slots__ = ("left", "longest", "what", "ruled_out", "length")
 
-    def __init__(self, nodes: int):
+    def __init__(self, nodes: int, what: str = "odd-cycle", ruled_out: str = ""):
         self.left = nodes
         self.longest = 0
+        self.what = what
+        self.ruled_out = ruled_out
+        self.length = 0
 
-    def spend(self) -> None:
-        self.left -= 1
+    def spend(self, nodes: int = 1) -> None:
+        self.left -= nodes
         if self.left < 0:
-            raise BudgetExceededError(
-                "search budget exhausted; raise max_nodes to continue the exact search"
-            )
+            what = self.what.replace("-", " ")
+            if self.length:
+                got = (f"no {what} of length < {self.length}; "
+                       f"budget exhausted in the length-{self.length} pass")
+            else:
+                got = f"budget exhausted in the {what} search"
+                if self.ruled_out:
+                    got = f"no {self.ruled_out.replace('-', ' ')}; {got}"
+            raise BudgetExceededError(f"{got}; raise max_nodes to continue the exact search")
 
 
 def _paths(sys: _System, budget: _Budget, start: int, target: int, vt: int, forbid: int,
@@ -208,9 +242,15 @@ def _paths(sys: _System, budget: _Budget, start: int, target: int, vt: int, forb
     only at `length` vertices, and each cycle comes once: second vertex
     below last, or for two edges, ascending ids.  Yields the live (vs, ids,
     vt, forbid) at each closing edge, ids and forbid including it.
+
+    A path grows to a new vertex u only if target can still be reached
+    from u (`_reaches`), as in the blocking of Johnson's circuit
+    enumeration.  The cut drops only branches that cannot close, so the
+    paths, and the order they come in, are those of the search without it.
     """
     support, head, inc = sys.support, sys.head, sys.inc
-    tbit = 1 << target
+    nb = sys.neighbours()
+    tbit, near = 1 << target, nb[target]
     vs, ids, stack = [start], [], []
     c, cbit, par = start, 1 << start, 0
     edges, i, avail = inc[start], 0, 0
@@ -219,8 +259,10 @@ def _paths(sys: _System, budget: _Budget, start: int, target: int, vt: int, forb
         if avail:  # descend to the next new vertex on edge eid
             ubit = avail & -avail
             avail ^= ubit
-            stack.append((c, cbit, edges, i, eid, sup, h, avail, vt, forbid, par))
             u = ubit.bit_length() - 1
+            if not nb[u] & tbit and not _reaches(nb, budget, u, vt | forbid | sup, near):
+                continue
+            stack.append((c, cbit, edges, i, eid, sup, h, avail, vt, forbid, par))
             par ^= 1 ^ ((h >> c ^ h >> u) & 1)  # _System.pair_parity, inlined
             vt |= ubit
             forbid |= sup
@@ -254,6 +296,37 @@ def _paths(sys: _System, budget: _Budget, start: int, target: int, vt: int, forb
             return
 
 
+def _reaches(nb: list[int], budget: _Budget, u: int, blocked: int, near: int) -> bool:
+    """True iff a vertex of `near` (those next to target) is reachable from
+    u through vertices outside `blocked`; each vertex expanded spends one
+    unit of budget.
+
+    A path that has just grown to u can only grow to vertices outside its
+    vertex set and the supports of its edges (blocked), so when this is
+    False it cannot close onto target.  The search runs breadth first over
+    the masks `nb` from both ends, u and `near`, always expanding the
+    smaller frontier, and fails as soon as either side has nothing left to
+    expand: a side closed off from the other is all it costs.
+    """
+    free = ~blocked
+    fwd = fwd_seen = nb[u] & free
+    back = back_seen = near & free
+    expanded = 0
+    while fwd and back and not fwd_seen & back_seen:
+        if fwd.bit_count() > back.bit_count():
+            fwd, back, fwd_seen, back_seen = back, fwd, back_seen, fwd_seen
+        expanded += fwd.bit_count()
+        reach = 0
+        while fwd:
+            wbit = fwd & -fwd
+            fwd ^= wbit
+            reach |= nb[wbit.bit_length() - 1]
+        fwd = reach & free & ~fwd_seen
+        fwd_seen |= fwd
+    budget.spend(expanded)
+    return bool(fwd_seen & back_seen)
+
+
 def _cycles_of_length(sys: _System, k: int, budget: _Budget):
     """Odd-parity cycles of exactly k edges as (vertices, edge_ids), each
     once: anchored at its least vertex, in the direction `_paths` fixes."""
@@ -267,6 +340,7 @@ def _odd_cycles(sys: _System, shortest: int, step: int, budget: _Budget):
     """All odd-parity cycles of the least length shortest, shortest + step,
     ... that has one, in search order."""
     for k in range(shortest, sys.cycle_cap() + 1, step):
+        budget.length = k
         found = False
         for hit in _cycles_of_length(sys, k, budget):
             found = True
@@ -361,11 +435,11 @@ def _shortest_odd_closed_walk(sys: _System):
     return None if best is None else (tuple(best[0]), tuple(best[1]))
 
 
-def _find_cycle(sys: _System, shortest: int, step: int, budget_nodes: int):
+def _find_cycle(sys: _System, shortest: int, step: int, budget: _Budget):
     """Shortest odd-parity cycle of length shortest, shortest + step, ..."""
     if sys.is_graph():
         return _shortest_odd_closed_walk(sys)
-    return next(_odd_cycles(sys, shortest, step, _Budget(budget_nodes)), None)
+    return next(_odd_cycles(sys, shortest, step, budget), None)
 
 
 def _search(host, max_nodes: int, kind: _Kind | None = None, *, cycle: bool = True,
@@ -377,11 +451,13 @@ def _search(host, max_nodes: int, kind: _Kind | None = None, *, cycle: bool = Tr
     sys = _System(host)
     w = None
     if cycle:
+        budget = _Budget(max_nodes, kind.cycle.kind)
         w = _checked(host, kind.cycle, kind.cycle_phase,
-                     _find_cycle(sys, kind.shortest, kind.step, max_nodes))
+                     _find_cycle(sys, kind.shortest, kind.step, budget))
     if w is None and tree_house:
+        budget = _Budget(max_nodes, kind.tree_house.kind, kind.cycle.kind if cycle else "")
         w = _checked(host, kind.tree_house, kind.tree_house_phase,
-                     _tree_house_search(sys, _Budget(max_nodes)))
+                     _tree_house_search(sys, budget))
     return w
 
 

@@ -75,27 +75,29 @@ def _cycle_order(d: MixedHypergraph):
 
 def path_or_cycle_parity(p: MixedHypergraph) -> str:
     """Total parity of a mixed path or cycle: 'odd' or 'even'."""
-    if any(len(p.support(a)) != 2 for a in range(p.n_arcs)):
+    supports = [p.support(a) for a in range(p.n_arcs)]
+    if any(len(sup) != 2 for sup in supports):
         raise InputError("parity needs all arcs restricted to support size 2")
-    degrees = [0] * p.n_vertices
-    for a in range(p.n_arcs):
-        for v in p.support(a):
-            degrees[v] += 1
-    odd_deg = [v for v, dg in enumerate(degrees) if dg == 1]
-    if not (all(dg in (1, 2) for dg in degrees) and len(odd_deg) in (0, 2)):
+    incid: list[list[int]] = [[] for _ in range(p.n_vertices)]
+    for a, sup in enumerate(supports):
+        for v in sup:
+            incid[v].append(a)
+    odd_deg = [v for v, arcs in enumerate(incid) if len(arcs) == 1]
+    if not (all(len(arcs) in (1, 2) for arcs in incid) and len(odd_deg) in (0, 2)):
         raise InputError("underlying hypergraph is neither a path nor a cycle")
     if p.n_arcs == 0:
         raise InputError("empty arc set has no parity")
-    # connectivity over arcs
-    seen = {0}
+    # connectivity over arcs, through the vertices they share
+    seen = bytearray(p.n_arcs)
+    seen[0] = 1
     frontier = [0]
     while frontier:
-        a = frontier.pop()
-        for b in range(p.n_arcs):
-            if b not in seen and set(p.support(a)) & set(p.support(b)):
-                seen.add(b)
-                frontier.append(b)
-    if len(seen) != p.n_arcs:
+        for v in supports[frontier.pop()]:
+            for b in incid[v]:
+                if not seen[b]:
+                    seen[b] = 1
+                    frontier.append(b)
+    if not all(seen):
         raise InputError("underlying hypergraph is neither a path nor a cycle")
     total = sum(arc_parity(p.arcs[a]) for a in range(p.n_arcs))
     return "odd" if total % 2 else "even"

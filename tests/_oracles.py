@@ -78,8 +78,12 @@ def ocp_exhaustive(edges: list[tuple[int, int]], n: int) -> int:
 
 
 def has_odd_cycle_exhaustive(g) -> bool:
-    """Odd cycle as a partial subhypergraph, by direct enumeration of vertex
-    sequences and edge assignments."""
+    return shortest_odd_cycle_exhaustive(g) is not None
+
+
+def shortest_odd_cycle_exhaustive(g) -> int | None:
+    """Least length of an odd cycle as a partial subhypergraph, or None, by
+    direct enumeration of vertex sequences and edge assignments."""
     n = g.n_vertices
     contents = [set(e) for e in g.edges]
     for k in range(3, n + 1, 2):
@@ -95,8 +99,8 @@ def has_odd_cycle_exhaustive(g) -> bool:
                 for need in needed
             ]
             if _distinct_assignment(candidates):
-                return True
-    return False
+                return k
+    return None
 
 
 def _distinct_assignment(candidates: list[list[int]], used=None) -> bool:

@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import inspect
+import random
 import sys
 import time
 
@@ -32,7 +33,7 @@ from tuhyper.detect import (
 from tuhyper.errors import BudgetExceededError, InputError, NotDisjointError
 from tuhyper.gen import GenConfig, Plant, generate
 
-from _oracles import has_odd_cycle_exhaustive, ocp_exhaustive
+from _oracles import has_odd_cycle_exhaustive, ocp_exhaustive, shortest_odd_cycle_exhaustive
 
 
 def test_find_odd_cycle_triangle():
@@ -82,6 +83,30 @@ def test_find_odd_cycle_matches_exhaustive_oracle():
         assert (find_odd_cycle(g) is not None) == has_odd_cycle_exhaustive(g)
         agree += 1
     assert agree > 80
+
+
+def test_pruned_backtracking_matches_exhaustive_oracle():
+    # non-graph hosts only, so the reachability cut in `_paths` decides each
+    sizes = ((3,), (4,), (5,), (3, 3), (3, 4), (3, 5), (4, 5), (3, 3, 4))
+    hosts = odd = 0
+    for seed in range(420):
+        try:
+            g, _ = generate(GenConfig(seed=60_000 + seed, n_vertices=5 + seed % 4,
+                                      n_small_edges=2 + seed % 7,
+                                      proper_edge_sizes=sizes[seed % len(sizes)],
+                                      disjoint=False))
+        except InputError:
+            continue
+        if g.is_graph():
+            continue
+        w = find_odd_cycle(g)
+        shortest = shortest_odd_cycle_exhaustive(g)
+        assert (w is None) == (shortest is None), seed
+        if w is not None:
+            assert len(w.vertices) == shortest, seed
+            odd += 1
+        hosts += 1
+    assert hosts >= 300 and 50 < odd < hosts - 50
 
 
 def test_verify_witness_rejects_corrupted_certificates():
@@ -348,6 +373,79 @@ def test_backtracking_needs_no_frame_per_path_vertex():
         sys.setrecursionlimit(limit)
     assert not d.tu and d.witness.vertices == tuple(range(101))
     assert verify_witness(g, d.witness)
+
+
+def _interval_host(n):
+    """TU interval hypergraph: the path edges (i, i+1) and every triple
+    (i, i+1, i+2); no backtracking branch past the anchor's neighbours
+    can close."""
+    names = [f"v{i}" for i in range(n)]
+    edges = [names[i:i + 2] for i in range(n - 1)] + [names[i:i + 3] for i in range(n - 2)]
+    return Hypergraph.from_names(names, edges)
+
+
+def _upward_path_host(n, seed):
+    """TU network-matrix host: the vertices are the arcs of a random rooted
+    tree, the edges its upward paths of two and three arcs and, pairwise
+    disjoint, some of four and five arcs."""
+    rnd = random.Random(seed)
+    parent = [None] + [rnd.randrange(i) for i in range(1, n + 1)]
+
+    def upward(node, arcs):
+        path = []
+        while node and len(path) < arcs:
+            path.append(f"a{node}")
+            node = parent[node]
+        return path if len(path) == arcs else None
+
+    edges = [p for node in range(1, n + 1) for arcs in (2, 3) if (p := upward(node, arcs))]
+    used = set()
+    for node in rnd.sample(range(1, n + 1), n):
+        p = upward(node, rnd.choice((4, 5)))
+        if p and used.isdisjoint(p):
+            used.update(p)
+            edges.append(p)
+    return Hypergraph.from_names([f"a{i}" for i in range(1, n + 1)], edges)
+
+
+def test_reachability_cut_decides_tu_families_within_a_small_budget():
+    # without the cut both exhaust the default budget of 5,000,000 nodes
+    for g in (_interval_host(160), _upward_path_host(240, seed=5)):
+        assert not g.is_graph()
+        assert decide_unimodular_disjoint(g, max_nodes=200_000).tu
+
+
+def test_long_ring_with_a_triple_found_or_stopped_by_its_budget():
+    w = find_odd_cycle(_ring_with_a_triple(101))
+    assert w.vertices == tuple(range(101))
+    # every vertex a reachability test expands is charged to the budget,
+    # which therefore runs out in an early length pass
+    ring = _ring_with_a_triple(2001)
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceededError) as exc:
+        find_odd_cycle(ring, max_nodes=100_000)
+    assert time.perf_counter() - start < 5.0
+    k = int(str(exc.value).split("length < ")[1].split(";")[0])
+    assert 3 < k < 20 and str(exc.value).startswith(
+        f"no odd cycle of length < {k}; budget exhausted in the length-{k} pass;")
+
+
+def test_budget_error_says_how_far_the_search_got():
+    ring = _ring_with_a_triple(2001)
+    with pytest.raises(BudgetExceededError, match="^no mixed odd cycle of length < "):
+        decide_unimodular_mixed_disjoint(core.as_mixed(ring), max_nodes=100_000)
+    # one 12-vertex edge, each vertex on three pendant edges: no cycle, and a
+    # tree-house phase that tries every quad of the edge as a root and leaves
+    hub = [f"h{i}" for i in range(12)]
+    pendants = [[v, f"{v}p{j}"] for v in hub for j in range(3)]
+    star = Hypergraph.from_names(hub + [e[1] for e in pendants], [hub] + pendants)
+    assert find_odd_cycle(star, max_nodes=1_000) is None
+    with pytest.raises(BudgetExceededError,
+                       match="^no odd cycle; budget exhausted in the odd tree house search;"):
+        decide_unimodular_disjoint(star, max_nodes=1_000)
+    with pytest.raises(BudgetExceededError,
+                       match="^budget exhausted in the mixed odd tree house search;"):
+        find_mixed_odd_tree_house(core.as_mixed(star), max_nodes=1_000)
 
 
 def test_searches_leave_no_garbage_cycles():

@@ -49,6 +49,23 @@ def test_path_parity_examples():
             "abc", [(("a", "b", "c"), ())]))
 
 
+def test_path_parity_of_long_paths_and_disjoint_cycles():
+    n = 20_000
+    names = [f"v{i}" for i in range(n + 1)]
+    # every third arc is head-tail (parity 0), the other 13,333 same-side
+    arcs = [((names[i],), (names[i + 1],)) if i % 3 == 0 else ((names[i], names[i + 1]), ())
+            for i in range(n)]
+    path = MixedHypergraph.from_names(names, arcs)
+    start = time.perf_counter()
+    assert path_or_cycle_parity(path) == "odd"
+    assert time.perf_counter() - start < 1.0
+    two_triangles = MixedHypergraph.from_names(
+        "abcxyz", [(("a",), ("b",)), (("b", "c"), ()), (("c",), ("a",)),
+                   (("x", "y"), ()), (("y", "z"), ()), (("z", "x"), ())])
+    with pytest.raises(InputError, match="neither a path nor a cycle"):
+        path_or_cycle_parity(two_triangles)
+
+
 def test_split_arc_shape_and_transcript():
     d = core.fixture("fig4-left")
     out, step = split_arc(d, 0)
