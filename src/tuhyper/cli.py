@@ -344,9 +344,9 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("input", help="instance JSON file")
         p.add_argument("--json", action="store_true", help="emit JSON on stdout")
         p.add_argument("--max-nodes", type=int, default=detect.DEFAULT_SEARCH_BUDGET,
-                       help="backtracking budget per search phase: path nodes plus "
-                            "the vertices its reachability tests expand; graph hosts "
-                            "are decided in polynomial time without it")
+                       help="budget per search phase: path nodes, the vertices its "
+                            "reachability tests expand and the edges its absence proof "
+                            "unites; graph hosts are decided in polynomial time without it")
         p.add_argument("--max-order", type=int, default=linalg.DEFAULT_MAX_DIMENSION_SUM,
                        help="rows+cols guard for exhaustive enumerations")
 

@@ -11,18 +11,24 @@ over one restricted-parity function, which is 1 on every unsigned edge.
 
 On a graph host (every edge or arc has at most two vertices) the odd-cycle
 question is a balance test, and the shortest odd cycle comes from a
-breadth-first search on the parity double cover in polynomial time.  Every
-other search is complete backtracking over vertex sequences and host edges.
-The defining subtlety there is that an edge used by a witness must meet the
-witness's *entire* vertex set in exactly the two vertices it connects; this
-is enforced incrementally (every new vertex is checked against all committed
-edges), so no incomplete shortcut is taken.  Both phases grow such paths
-in `_paths` on one explicit stack, so no recursion limit bounds their
-length, and a path grows to a new vertex only if its target can still be
-reached from there, so branches that cannot close are cut without changing
-the search order.  The node budget counts backtracking nodes and the
-vertices those reachability tests expand; an exhausted budget says how far
-the search got.  Every returned witness passes `verify_witness`, a separate
+breadth-first search on the parity double cover in polynomial time.  Other
+hosts find their witnesses by complete backtracking over vertex sequences
+and host edges.  The defining subtlety there is that an edge used by a
+witness must meet the witness's *entire* vertex set in exactly the two
+vertices it connects; this is enforced incrementally (every new vertex is
+checked against all committed edges), so no incomplete shortcut is taken.
+Both phases grow such paths in `_paths` on one explicit stack, so no
+recursion limit bounds their length, and a path grows to a new vertex only
+if its target can still be reached from there, so branches that cannot
+close are cut without changing the search order.  The odd-cycle phase runs
+one pass per length; once the passes have spent as much as it can cost, the
+absence of odd cycles is also tried by an exact proof, `_no_odd_cycle`,
+which splits the edges of size >= 3 into vertex pairs and tests each
+resulting signed graph for balance.  It ends the passes only when no odd
+cycle exists, so every witness is the one the passes alone return.  The
+node budget counts backtracking nodes, the vertices the reachability tests
+expand and the edges the proof unites; an exhausted budget says how far the
+search got.  Every returned witness passes `verify_witness`, a separate
 straight-line checker that shares no state with the search.
 """
 
@@ -191,22 +197,24 @@ class _System:
 
 
 class _Budget:
-    """Node budget of one backtracking search, and how far the search got.
+    """Node budget of one search, and how far the search got.
 
     `_paths` spends one unit on each path node and one on each vertex that
-    its reachability test expands.  `longest` is the most vertices on a
-    path that a cycle search has grown.  A path is grown only while its
-    anchor can still be reached from its end, and every prefix of a cycle
-    can reach it, so once a pass for length k leaves `longest` below k, no
-    cycle of length k or more exists.
+    its reachability test expands, and `_no_odd_cycle` one on each edge its
+    union-finds unite.  `longest` is the most vertices on a path that a
+    cycle search has grown.  A path is grown only while its anchor can
+    still be reached from its end, and every prefix of a cycle can reach
+    it, so once a pass for length k leaves `longest` below k, no cycle of
+    length k or more exists.
 
     `what` is the witness kind searched ("odd-cycle", ...), `ruled_out`
     the kind an earlier phase proved absent, if any, and a cycle search
-    sets `length` to the pass it runs; they are read only to word the
+    sets `length` to the pass it runs, or to the next pass while
+    `splitting` (its absence proof runs); they are read only to word the
     error that an exhausted budget raises.
     """
 
-    __slots__ = ("left", "longest", "what", "ruled_out", "length")
+    __slots__ = ("left", "longest", "what", "ruled_out", "length", "splitting")
 
     def __init__(self, nodes: int, what: str = "odd-cycle", ruled_out: str = ""):
         self.left = nodes
@@ -214,14 +222,16 @@ class _Budget:
         self.what = what
         self.ruled_out = ruled_out
         self.length = 0
+        self.splitting = False
 
     def spend(self, nodes: int = 1) -> None:
         self.left -= nodes
         if self.left < 0:
             what = self.what.replace("-", " ")
             if self.length:
-                got = (f"no {what} of length < {self.length}; "
-                       f"budget exhausted in the length-{self.length} pass")
+                where = ("while splitting edges of size >= 3" if self.splitting
+                         else f"in the length-{self.length} pass")
+                got = f"no {what} of length < {self.length}; budget exhausted {where}"
             else:
                 got = f"budget exhausted in the {what} search"
                 if self.ruled_out:
@@ -338,15 +348,107 @@ def _cycles_of_length(sys: _System, k: int, budget: _Budget):
 
 def _odd_cycles(sys: _System, shortest: int, step: int, budget: _Budget):
     """All odd-parity cycles of the least length shortest, shortest + step,
-    ... that has one, in search order."""
+    ... that has one, in search order.
+
+    Each length pass re-grows the paths of the pass before it.  So once the
+    passes have spent the most that `_no_odd_cycle` can cost, that proof
+    runs, once, before the next pass: if it shows that no odd cycle exists,
+    no pass follows, and otherwise the passes go on as if it had not run.
+    It never runs before the first pass (its cost is at least one unit), so
+    on small hosts the passes alone decide, and it at most doubles the work.
+    """
+    split_at = budget.left - _split_cost(sys, budget.left)
     for k in range(shortest, sys.cycle_cap() + 1, step):
         budget.length = k
+        if budget.left <= split_at:
+            split_at = -1  # it runs once
+            budget.splitting = True
+            if _no_odd_cycle(sys, budget):
+                return
+            budget.splitting = False
         found = False
         for hit in _cycles_of_length(sys, k, budget):
             found = True
             yield hit
         if found or budget.longest < k:
             return
+
+
+def _split_cost(sys: _System, cap: int) -> int:
+    """Most units `_no_odd_cycle` can spend, the number of edges times
+    prod(1 + C(|e|, 2)) over the edges e of size >= 3; cap + 1 if above cap."""
+    cost = len(sys.support)
+    for sup in sys.support:
+        size = sup.bit_count()
+        if size > 2:
+            cost *= 1 + size * (size - 1) // 2
+            if cost > cap:
+                return cap + 1
+    return cost
+
+
+def _no_odd_cycle(sys: _System, budget: _Budget) -> bool:
+    """True iff the host has no cycle of odd parity; each edge a union-find
+    unites spends one unit of budget.
+
+    The edges e of size >= 3 are split in turn, depth first on an explicit
+    stack: e is dropped, or kept as one pair {a, b} of its vertices with
+    the others deleted from every edge.  An edge left with fewer than two
+    vertices is dropped (one left with two needs no drop: keeping it only
+    adds an edge).  Each leaf is a signed multigraph, an edge per kept pair
+    with parity `pair_parity`, and Harary's balance test (1953) on it is a
+    parity union-find.  An odd cycle C of the host lies in the leaf that
+    keeps each big edge of C as its pair on C and drops the others, as no
+    deleted vertex is on C; conversely, a leaf edge taken from e meets the
+    leaf's vertices only in its pair, so an odd cycle of a leaf is an odd
+    cycle of the host.
+    """
+    support, n = sys.support, sys.n
+    big = [eid for eid, sup in enumerate(support) if sup.bit_count() > 2]
+    pairs = [_arc(sys, eid, sup) for eid, sup in enumerate(support) if sup.bit_count() == 2]
+    stack = [(0, 0, pairs)]  # (next big edge, deleted vertices, edges to unite)
+    while stack:
+        i, gone, arcs = stack.pop()
+        if i < len(big):
+            eid = big[i]
+            sup = support[eid] & ~gone
+            if sup.bit_count() != 2:
+                stack.append((i + 1, gone, arcs))
+            for a, b in itertools.combinations(_bits(sup), 2):
+                pair = 1 << a | 1 << b
+                stack.append((i + 1, gone | sup & ~pair, arcs + [_arc(sys, eid, pair)]))
+            continue
+        budget.spend(len(arcs))
+        leaf = list(range(n)), [0] * n, [1] * n
+        for mask, a, b, par in arcs:
+            if not mask & gone and not _unite(*leaf, a, b, par):
+                return False
+    return True
+
+
+def _arc(sys: _System, eid: int, pair: int):
+    """(pair, a, b, parity) for the vertex pair `pair` of edge eid."""
+    a, b = (pair & -pair).bit_length() - 1, pair.bit_length() - 1
+    return pair, a, b, sys.pair_parity(eid, a, b)
+
+
+def _unite(up: list[int], flip: list[int], size: list[int], a: int, b: int, par: int) -> bool:
+    """Record sign(a) ^ sign(b) == par in a parity union-find (union by
+    size, `flip[v]` the sign of v against `up[v]`); False if that
+    contradicts what it holds, that is, closes a cycle of odd parity."""
+    while up[a] != a:
+        par ^= flip[a]
+        a = up[a]
+    while up[b] != b:
+        par ^= flip[b]
+        b = up[b]
+    if a == b:
+        return par == 0
+    if size[a] < size[b]:
+        a, b = b, a
+    up[b], flip[b] = a, par
+    size[a] += size[b]
+    return True
 
 
 def _shortest_odd_closed_walk(sys: _System):

@@ -83,34 +83,47 @@ def has_odd_cycle_exhaustive(g) -> bool:
 
 def shortest_odd_cycle_exhaustive(g) -> int | None:
     """Least length of an odd cycle as a partial subhypergraph, or None, by
-    direct enumeration of vertex sequences and edge assignments."""
+    direct enumeration of vertex sequences and edge assignments.
+
+    On a mixed host (one with `arcs`) a cycle may have two arcs, and it is
+    odd when an odd number of its arcs hold their two cycle vertices on one
+    side (both heads or both tails); on an unsigned host every edge counts."""
     n = g.n_vertices
-    contents = [set(e) for e in g.edges]
-    for k in range(3, n + 1, 2):
+    if hasattr(g, "arcs"):
+        sides = [(set(heads), set(tails)) for heads, tails in g.arcs]
+        lengths = range(2, n + 1)
+    else:
+        sides = [(set(e), set()) for e in g.edges]
+        lengths = range(3, n + 1, 2)
+    contents = [heads | tails for heads, tails in sides]
+    for k in lengths:
         for vs in itertools.permutations(range(n), k):
-            if vs[0] != min(vs) or vs[1] > vs[-1]:
+            if vs[0] != min(vs) or (k > 2 and vs[1] > vs[-1]):
                 continue
             vset = set(vs)
             needed = [
                 {vs[i], vs[(i + 1) % k]} for i in range(k)
             ]
             candidates = [
-                [e for e, c in enumerate(contents) if c & vset == need]
+                [(e, int(need <= sides[e][0] or need <= sides[e][1]))
+                 for e, c in enumerate(contents) if c & vset == need]
                 for need in needed
             ]
-            if _distinct_assignment(candidates):
+            if _distinct_assignment(candidates, want=1):
                 return k
     return None
 
 
-def _distinct_assignment(candidates: list[list[int]], used=None) -> bool:
+def _distinct_assignment(candidates: list[list[tuple[int, int]]], used=None, want=1) -> bool:
+    """True iff one (edge, parity) can be taken from each list, the edges
+    distinct and the parities summing to `want` mod 2."""
     if used is None:
         used = set()
     if not candidates:
-        return True
+        return want == 0
     head, tail = candidates[0], candidates[1:]
-    for e in head:
+    for e, parity in head:
         if e not in used:
-            if _distinct_assignment(tail, used | {e}):
+            if _distinct_assignment(tail, used | {e}, want ^ parity):
                 return True
     return False

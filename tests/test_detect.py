@@ -7,13 +7,14 @@ import time
 
 import pytest
 
-from tuhyper import core, linalg
+from tuhyper import core, detect, linalg
 from tuhyper.core import Hypergraph, MixedHypergraph
 from tuhyper.detect import (
     DEFAULT_SEARCH_BUDGET,
     _Budget,
     _cycles_of_length,
     _decide,
+    _no_odd_cycle,
     _System,
     MixedOddCycleWitness,
     OddCycleWitness,
@@ -33,6 +34,7 @@ from tuhyper.detect import (
 from tuhyper.errors import BudgetExceededError, InputError, NotDisjointError
 from tuhyper.gen import GenConfig, Plant, generate
 
+from _hosts import noisy_tree_house
 from _oracles import has_odd_cycle_exhaustive, ocp_exhaustive, shortest_odd_cycle_exhaustive
 
 
@@ -452,8 +454,62 @@ def test_searches_leave_no_garbage_cycles():
     gc.collect()
     gc.disable()
     try:
-        for host in (core.fixture("fig1"), core.fixture("fig5"), _ring_with_a_triple(31)):
+        for host in (core.fixture("fig1"), core.fixture("fig5"), _ring_with_a_triple(31),
+                     noisy_tree_house(3, (7, 7, 7))):
             _decide(host, DEFAULT_SEARCH_BUDGET)
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_split_proof_matches_exhaustive_oracle():
+    # non-graph hosts with one to three edges of size >= 3, a third of them
+    # not disjoint; half are mixed, so two-arc cycles and parities count
+    sizes = ((3,), (4,), (5,), (3, 3), (3, 4), (4, 5), (3, 3, 4), (3, 4, 4))
+    hosts = absent = 0
+    for seed in range(480):
+        try:
+            host, _ = generate(GenConfig(seed=80_000 + seed, n_vertices=5 + seed % 3,
+                                         n_small_edges=2 + seed % 7,
+                                         proper_edge_sizes=sizes[seed % len(sizes)],
+                                         disjoint=seed % 3 != 0, mixed=seed % 2 == 1))
+        except InputError:
+            continue
+        if all(sup.bit_count() <= 2 for sup in host.support_masks):
+            continue
+        proven = _no_odd_cycle(_System(host), _Budget(10**7))
+        assert proven == (shortest_odd_cycle_exhaustive(host) is None), seed
+        hosts += 1
+        absent += proven
+    assert hosts >= 300 and 50 < absent < hosts - 50
+
+
+def test_split_proof_decides_a_noisy_tree_house_within_a_small_budget():
+    # the length passes 3, 5, ... (mixed: 2, 3, ...) each re-grow the
+    # branches; without the proof they alone need 1,397 (mixed: 2,579) units
+    house = noisy_tree_house(3, (7, 7, 7))
+    for host in (house, core.as_mixed(house)):
+        d = _decide(host, max_nodes=1_000)
+        assert not d.tu and d.witness.kind.endswith("odd-tree-house")
+        assert verify_witness(host, d.witness)
+
+
+def test_budget_error_inside_the_split_proof_says_what_is_proven(monkeypatch):
+    host = noisy_tree_house(3, (7, 7, 7))
+    entered = []
+
+    def recorded(system, budget):
+        entered.append((DEFAULT_SEARCH_BUDGET - budget.left, budget.length))
+        return _no_odd_cycle(system, budget)
+
+    monkeypatch.setattr(detect, "_no_odd_cycle", recorded)
+    assert find_odd_cycle(host) is None
+    monkeypatch.undo()
+    [(spent, k)] = entered
+    assert k > 3
+    # the same passes run, and the proof then spends the one unit left
+    with pytest.raises(BudgetExceededError) as exc:
+        find_odd_cycle(host, max_nodes=spent + 1)
+    assert str(exc.value) == (
+        f"no odd cycle of length < {k}; budget exhausted while splitting edges of size >= 3;"
+        " raise max_nodes to continue the exact search")

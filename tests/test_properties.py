@@ -1,8 +1,10 @@
 """Property tests over seeded disjoint hosts: the decision does not depend on
 how vertices and edges are numbered, nor on row and column signs of a mixed
-host, and every witness survives a round trip through JSON."""
+host, nor on the absence proof that can end the odd-cycle passes early, and
+every witness survives a round trip through JSON."""
 
 import json
+from unittest import mock
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -11,6 +13,8 @@ from tuhyper import core, detect
 from tuhyper.errors import InputError
 from tuhyper.gen import GenConfig, Plant, generate
 from tuhyper.mixed import negate_column, negate_row
+
+from _hosts import noisy_tree_house
 
 BOUNDED = settings(derandomize=True, max_examples=60, deadline=None)
 
@@ -79,3 +83,35 @@ def test_witnesses_round_trip_through_json_and_reverify(host):
     back = detect.witness_from_dict(host, json.loads(json.dumps(detect.witness_to_dict(host, w))))
     assert back == w
     assert detect.verify_witness(host, back)
+
+
+@st.composite
+def noisy_tree_houses(draw):
+    """Hosts whose odd-cycle passes run long enough to reach the absence
+    proof: planted odd tree houses with bipartite noise on each branch, in
+    one host of three with one more edge of two vertices, which may close
+    an odd cycle.  A mixed one is the all-head form with random rows and
+    columns negated."""
+    lens = tuple(draw(st.lists(st.sampled_from((1, 3, 5, 7)), min_size=3, max_size=3)))
+    g = noisy_tree_house(draw(st.integers(0, 2**32)), lens, draw(st.integers(2, 3)),
+                         draw(st.integers(2, 5)))
+    if draw(st.integers(0, 2)) == 0:
+        a, b = draw(st.lists(st.sampled_from(g.names), min_size=2, max_size=2, unique=True))
+        g = core.Hypergraph.from_names(g.names, [[g.names[v] for v in e] for e in g.edges]
+                                       + [[a, b]])
+    if not draw(st.booleans()):
+        return g
+    d = core.as_mixed(g)
+    for v in draw(st.sets(st.integers(0, d.n_vertices - 1))):
+        d = negate_row(d, v)
+    for aid in draw(st.sets(st.integers(0, d.n_arcs - 1))):
+        d = negate_column(d, aid)
+    return d
+
+
+@BOUNDED
+@given(host=noisy_tree_houses())
+def test_decision_is_the_same_without_the_absence_proof(host):
+    with mock.patch.object(detect, "_no_odd_cycle", lambda *a: False):
+        passes_only = detect._decide(host, detect.DEFAULT_SEARCH_BUDGET)
+    assert detect._decide(host, detect.DEFAULT_SEARCH_BUDGET) == passes_only
