@@ -339,19 +339,25 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_input=True):
+    limits = {
+        "--max-nodes": dict(type=int, default=detect.DEFAULT_SEARCH_BUDGET,
+                            help="budget per search phase: path nodes, the vertices its "
+                                 "reachability tests expand and the edges its absence "
+                                 "proof unites; graph hosts are decided in polynomial "
+                                 "time without it"),
+        "--max-order": dict(type=int, default=linalg.DEFAULT_MAX_DIMENSION_SUM,
+                            help="rows+cols guard for exhaustive enumerations"),
+    }
+
+    def common(p, *limit_flags, needs_input=True):
         if needs_input:
             p.add_argument("input", help="instance JSON file")
         p.add_argument("--json", action="store_true", help="emit JSON on stdout")
-        p.add_argument("--max-nodes", type=int, default=detect.DEFAULT_SEARCH_BUDGET,
-                       help="budget per search phase: path nodes, the vertices its "
-                            "reachability tests expand and the edges its absence proof "
-                            "unites; graph hosts are decided in polynomial time without it")
-        p.add_argument("--max-order", type=int, default=linalg.DEFAULT_MAX_DIMENSION_SUM,
-                       help="rows+cols guard for exhaustive enumerations")
+        for flag in limit_flags:
+            p.add_argument(flag, **limits[flag])
 
     p = sub.add_parser("check", help="decide total unimodularity")
-    common(p)
+    common(p, "--max-nodes", "--max-order")
     p.add_argument("--disjoint", action="store_true",
                    help="require a disjoint instance (error otherwise)")
     p.add_argument("--verify-cert", metavar="CERT",
@@ -359,17 +365,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=_cmd_check)
 
     p = sub.add_parser("delta", help="maximum absolute subdeterminant")
-    common(p)
+    common(p, "--max-order")
     p.add_argument("--cap", type=int, default=None, help="largest submatrix order")
     p.set_defaults(run=_cmd_delta)
 
     p = sub.add_parser("detect", help="search for a forbidden structure")
-    common(p)
+    common(p, "--max-nodes")
     p.add_argument("--kind", choices=("any", "odd-cycle", "tree-house"), default="any")
     p.set_defaults(run=_cmd_detect)
 
     p = sub.add_parser("extract", help="constructive witness extraction")
-    common(p)
+    common(p, "--max-nodes")
     p.add_argument("--trace", metavar="FILE", help="write the extraction trace JSON here")
     p.set_defaults(run=_cmd_extract)
 
@@ -386,7 +392,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=_cmd_build_r)
 
     p = sub.add_parser("gen", help="generate a seeded random/planted instance")
-    common(p, needs_input=False)
     p.add_argument("--seed", type=int, required=True, help="64-bit stream seed")
     p.add_argument("--vertices", type=int, required=True)
     p.add_argument("--small-edges", type=int, default=0)

@@ -323,6 +323,8 @@ def mixed_from_matrix(m: np.ndarray, names=None) -> MixedHypergraph:
     rows, cols = m.shape
     if names is None:
         names = tuple(f"v{i}" for i in range(rows))
+    elif len(names) != rows:
+        raise InputError(f"{len(names)} vertex names for {rows} matrix rows")
     arcs = []
     for j in range(cols):
         heads = tuple(int(i) for i in np.nonzero(m[:, j] == 1)[0])

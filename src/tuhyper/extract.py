@@ -143,61 +143,53 @@ def _validate_cycle(host: Hypergraph, vertices, edge_ids, step: str) -> None:
 def _first_cycle(pairs):
     """First cycle in a multigraph given as (u, v, tag) triples.
 
-    Edges are inserted in order into a growing forest of parent pointers; the
-    first edge joining an already-connected pair closes the cycle, which is
-    read off the two tree paths to their meeting point.  Returns the vertex
-    sequence and the tags of its edges (closing tag last), or None.
+    Union-find finds the first pair whose ends the earlier pairs already
+    connect.  Those earlier pairs form a forest, so the cycle is that pair
+    plus the one forest path between its ends, read by a DFS from the second
+    end.  Returns the vertex sequence (first end to second end) and the tags
+    of its edges (closing tag last), or None.
     """
-    parent: dict[int, tuple[int, int] | None] = {}
     comp: dict[int, int] = {}
 
     def find(v: int) -> int:
+        comp.setdefault(v, v)
         while comp[v] != v:
             v = comp[v]
         return v
 
-    for idx, (a, b, _tag) in enumerate(pairs):
-        for v in (a, b):
-            if v not in comp:
-                comp[v] = v
-                parent[v] = None
+    for idx, (a, b, tag) in enumerate(pairs):
         ra, rb = find(a), find(b)
         if ra != rb:
-            # re-root a's tree at a, then hang it under b
-            chain = []
-            v = a
-            while parent[v] is not None:
-                chain.append(v)
-                v = parent[v][0]
-            for v in reversed(chain):
-                pv, pe = parent[v]
-                parent[pv] = (v, pe)
-            parent[a] = (b, idx)
             comp[ra] = rb
-            comp[a] = rb
             continue
-        seen: dict[int, list[tuple[int, int]]] = {a: []}
-        walk: list[tuple[int, int]] = []
-        v = a
-        while parent[v] is not None:
-            nxt, through = parent[v]
-            walk.append((nxt, through))
-            seen[nxt] = list(walk)
-            v = nxt
-        v = b
-        other: list[tuple[int, int]] = []
-        while v not in seen:
-            nxt, through = parent[v]
-            other.append((nxt, through))
-            v = nxt
-        up = seen[v]
-        verts = [a] + [x for x, _ in up]
-        ids = [e for _, e in up]
-        back = [b] + [x for x, _ in other]
-        verts += list(reversed(back[:-1]))
-        ids += [e for _, e in reversed(other)] + [idx]
-        return verts, [pairs[i][2] for i in ids]
+        adj: dict[int, list] = {}
+        for u, v, t in pairs[:idx]:
+            adj.setdefault(u, []).append((v, t))
+            adj.setdefault(v, []).append((u, t))
+        back = {b: None}  # vertex -> (its neighbour towards b, the tag between)
+        stack = [b]
+        while a not in back:
+            v = stack.pop()
+            for w, t in adj[v]:
+                if w not in back:
+                    back[w] = (v, t)
+                    stack.append(w)
+        verts, tags = [a], []
+        while back[verts[-1]] is not None:
+            v, t = back[verts[-1]]
+            verts.append(v)
+            tags.append(t)
+        return verts, tags + [tag]
     return None
+
+
+def _cycle_path_without(vertices, edge_ids, drop_eid):
+    """Open the cycle at the given edge: path vertex/edge sequences."""
+    k = len(vertices)
+    at = edge_ids.index(drop_eid)
+    vs = [vertices[(at + 1 + t) % k] for t in range(k)]
+    ids = [edge_ids[(at + 1 + t) % k] for t in range(k - 1)]
+    return vs, ids
 
 
 def enforce_forest(host: Hypergraph) -> NiceCycle | None:
@@ -262,12 +254,7 @@ def almost_nice_cycle(host: Hypergraph) -> NiceCycle:
     if cycle is None:
         _ic("nice-cycle-aux", "auxiliary graph is acyclic despite the counting bound")
     cvs, cids = cycle  # vertex sequence and aux edge indices, cyclic
-
-    def is_matching_edge_of_cycle(x: int, y: int) -> bool:
-        return any(
-            aux[i][3] and {aux[i][0], aux[i][1]} == {x, y} for i in cids
-        )
-
+    matching = {frozenset(aux[i][:2]) for i in cids if aux[i][3]}
     length = len(cvs)
     pos = {v: i for i, v in enumerate(cvs)}
     crossable = []
@@ -276,7 +263,7 @@ def almost_nice_cycle(host: Hypergraph) -> NiceCycle:
             x, y = cvs[ai], cvs[bi]
             if proper_of[x] is None or proper_of[x] != proper_of[y]:
                 continue
-            if is_matching_edge_of_cycle(x, y):
+            if frozenset((x, y)) in matching:
                 continue
             dist = min(bi - ai, length - (bi - ai))
             crossable.append((dist, x, y))
@@ -290,12 +277,10 @@ def almost_nice_cycle(host: Hypergraph) -> NiceCycle:
             path_vs = cvs[j:] + cvs[: i + 1]
             path_ids = cids[j:] + cids[:i]
     else:
-        drop = next((t for t in range(length) if aux[cids[t]][3]), None)
+        drop = next((i for i in cids if aux[i][3]), None)
         if drop is None:
             _ic("nice-cycle-matching", "auxiliary cycle uses no matching edge")
-        path_vs = cvs[drop + 1 :] + cvs[: drop + 1]
-        path_ids = cids[drop + 1 :] + cids[:drop]
-        v, w = path_vs[0], path_vs[-1]
+        path_vs, path_ids = _cycle_path_without(cvs, cids, drop)
     special = proper_of[path_vs[0]]
     if special is None or special != proper_of[path_vs[-1]]:
         _ic("nice-cycle-special", "path endpoints do not share a size->=4 edge")
@@ -490,15 +475,6 @@ def lift_tree_house(rp: ReducedPair, w: OddTreeHouseWitness) -> OddTreeHouseWitn
 # ---------------------------------------------------------------------------
 # Lifting an odd cycle through the unique conflict
 # ---------------------------------------------------------------------------
-
-
-def _cycle_path_without(vertices, edge_ids, drop_eid):
-    """Open the cycle at the given edge: path vertex/edge sequences."""
-    k = len(vertices)
-    at = edge_ids.index(drop_eid)
-    vs = [vertices[(at + 1 + t) % k] for t in range(k)]
-    ids = [edge_ids[(at + 1 + t) % k] for t in range(k - 1)]
-    return vs, ids
 
 
 def _assert_candidate(host, root, leaves, paths, path_ids, h_edge, step):

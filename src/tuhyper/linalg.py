@@ -396,26 +396,14 @@ def _eulerian_selections(masks: list[int], n_vertices: int, guard: int,
             if twice != umask:
                 continue
         basis = _gf2_nullspace([t for _, t in cand])
-        if not basis:
-            continue
-        ids = [eid for eid, _ in cand]
-        for combo_bits in range(1, 1 << len(basis)):
-            combo = 0
-            cb = combo_bits
-            k = 0
-            while cb:
-                if cb & 1:
-                    combo ^= basis[k]
-                cb >>= 1
-                k += 1
-            if combo:
-                fmask = 0
-                sel = combo
-                while sel:
-                    low = sel & -sel
-                    fmask |= 1 << ids[low.bit_length() - 1]
-                    sel ^= low
-                yield umask, fmask
+        # moving candidate bits onto their distinct edge ids is linear over
+        # GF(2), so it commutes with the XORs below
+        fbasis = [sum(1 << cand[i][0] for i in _bits(vec)) for vec in basis]
+        for combo_bits in range(1, 1 << len(fbasis)):
+            fmask = 0
+            for k in _bits(combo_bits):
+                fmask ^= fbasis[k]
+            yield umask, fmask
 
 
 def camion_unimodular(g: Hypergraph, max_vertices: int = 16) -> CamionResult:

@@ -46,60 +46,47 @@ def arc_parity(arc) -> int:
     return 0 if len(heads) == 1 else 1
 
 
-def _cycle_order(d: MixedHypergraph):
-    """Vertex/arc order of the underlying cycle, or None if not a cycle."""
-    n, m = d.n_vertices, d.n_arcs
-    if n != m or n < 2:
-        return None
-    if any(len(d.support(a)) != 2 for a in range(m)):
-        return None
-    incid: list[list[int]] = [[] for _ in range(n)]
-    for a in range(m):
+def _trail(d: MixedHypergraph):
+    """(vertices, arcs) of d walked as one path, from its lower end, or as one
+    cycle, from vertex 0 along its lower arc; None if d is neither.
+
+    arcs[i] joins vertices[i] and vertices[i + 1], and a cycle's last arc
+    joins its last vertex back to vertex 0.  Every arc must lie on exactly
+    two vertices and every vertex on one or two arcs; then each component is
+    a path or a cycle, and the walk covers d only if d is connected.
+    """
+    incid: list[list[int]] = [[] for _ in range(d.n_vertices)]
+    for a in range(d.n_arcs):
+        if len(d.support(a)) != 2:
+            return None
         for v in d.support(a):
             incid[v].append(a)
-    if any(len(lst) != 2 for lst in incid):
+    if not incid or any(len(arcs) not in (1, 2) for arcs in incid):
         return None
-    vs = [0]
-    arcs = [incid[0][0]]
+    start = next((v for v, arcs in enumerate(incid) if len(arcs) == 1), 0)
+    vs, arcs = [start], []
     while True:
-        prev_v, via = vs[-1], arcs[-1]
-        nxt = next(v for v in d.support(via) if v != prev_v)
-        if nxt == vs[0]:
-            break
+        out = [a for a in incid[vs[-1]] if not arcs or a != arcs[-1]]
+        if not out:
+            break  # the far end of a path
+        arcs.append(out[0])
+        nxt = next(v for v in d.support(out[0]) if v != vs[-1])
+        if nxt == start:
+            break  # the cycle closed
         vs.append(nxt)
-        arcs.append(next(a for a in incid[nxt] if a != via))
-    if len(vs) != n:
-        return None  # disconnected union of cycles
-    return vs, arcs
+    return (vs, arcs) if len(vs) == d.n_vertices else None
 
 
 def path_or_cycle_parity(p: MixedHypergraph) -> str:
     """Total parity of a mixed path or cycle: 'odd' or 'even'."""
-    supports = [p.support(a) for a in range(p.n_arcs)]
-    if any(len(sup) != 2 for sup in supports):
+    if any(len(p.support(a)) != 2 for a in range(p.n_arcs)):
         raise InputError("parity needs all arcs restricted to support size 2")
-    incid: list[list[int]] = [[] for _ in range(p.n_vertices)]
-    for a, sup in enumerate(supports):
-        for v in sup:
-            incid[v].append(a)
-    odd_deg = [v for v, arcs in enumerate(incid) if len(arcs) == 1]
-    if not (all(len(arcs) in (1, 2) for arcs in incid) and len(odd_deg) in (0, 2)):
-        raise InputError("underlying hypergraph is neither a path nor a cycle")
-    if p.n_arcs == 0:
+    if p.n_vertices == 0:
         raise InputError("empty arc set has no parity")
-    # connectivity over arcs, through the vertices they share
-    seen = bytearray(p.n_arcs)
-    seen[0] = 1
-    frontier = [0]
-    while frontier:
-        for v in supports[frontier.pop()]:
-            for b in incid[v]:
-                if not seen[b]:
-                    seen[b] = 1
-                    frontier.append(b)
-    if not all(seen):
+    trail = _trail(p)
+    if trail is None:
         raise InputError("underlying hypergraph is neither a path nor a cycle")
-    total = sum(arc_parity(p.arcs[a]) for a in range(p.n_arcs))
+    total = sum(arc_parity(p.arcs[a]) for a in trail[1])
     return "odd" if total % 2 else "even"
 
 
@@ -260,25 +247,36 @@ def normalize_to_hypergraph(d: MixedHypergraph) -> tuple[Hypergraph, list[dict]]
 # ---------------------------------------------------------------------------
 
 
+def _alternating(m: np.ndarray, vs, arcs) -> np.ndarray:
+    """u in {+-1}^len(arcs), u[0] = 1, with m[vs, arcs] @ u = 0, along a cycle
+    on which arcs[i] joins vs[i] and vs[i + 1] (the last arc closes it).
+
+    Each step cancels the entry of the arc just passed at the next vertex;
+    the closing row is then zero exactly when the cycle is even, so odd
+    cycles are rejected.
+    """
+    u = np.zeros(len(arcs), dtype=np.int64)
+    u[0] = 1
+    for i in range(len(arcs) - 1):
+        v = vs[i + 1]
+        u[i + 1] = -m[v, arcs[i]] * u[i] // m[v, arcs[i + 1]]
+    if np.any(m[np.ix_(vs, arcs)] @ u != 0):
+        raise InputError("mixed odd cycle has no {+-1} null vector")
+    return u
+
+
 def even_cycle_nullvector(c: MixedHypergraph) -> np.ndarray:
     """Sign vector u in {+-1}^arcs with M(c) @ u = 0, for a mixed even cycle.
 
-    Built by the alternating recursion along the cycle; the closing row is
-    zero exactly when the cycle is even, so odd cycles are rejected.
+    Built by the alternating recursion along the cycle from vertex 0 and its
+    lower arc, whose entry is +1.
     """
-    order = _cycle_order(c)
-    if order is None:
+    trail = _trail(c)
+    if trail is None or len(trail[0]) != len(trail[1]):
         raise InputError("input is not a mixed cycle")
-    vs, arcs = order
-    m = incidence_matrix(c)
-    k = len(arcs)
-    u = np.zeros(k, dtype=np.int64)
-    u[arcs[0]] = 1
-    for i in range(k - 1):
-        nxt_v = vs[i + 1]
-        u[arcs[i + 1]] = -m[nxt_v, arcs[i]] * u[arcs[i]] // m[nxt_v, arcs[i + 1]]
-    if np.any(m @ u != 0):
-        raise InputError("mixed odd cycle has no {+-1} null vector")
+    vs, arcs = trail
+    u = np.zeros(c.n_arcs, dtype=np.int64)
+    u[arcs] = _alternating(incidence_matrix(c), vs, arcs)
     return u
 
 
@@ -294,10 +292,10 @@ class Classification:
 
 
 def _whole_cycle_witness(d: MixedHypergraph):
-    order = _cycle_order(d)
-    if order is None:
+    trail = _trail(d)
+    if trail is None or len(trail[0]) != len(trail[1]):
         return None
-    vs, arcs = order
+    vs, arcs = trail
     w = MixedOddCycleWitness(tuple(vs), tuple(arcs))
     return w if verify_witness(d, w) else None
 
@@ -349,19 +347,8 @@ def build_r_matrix(a) -> np.ndarray:
     hid = w.hyperedge_id
     path_arcs = list(w.path_edge_ids[first])
     # null vector of the cycle formed by the first path and h, scaled to u_h = 1
-    cycle_vs = list(w.paths[first])
-    cycle = MixedHypergraph(
-        tuple(d.names[v] for v in cycle_vs),
-        tuple(
-            (
-                tuple(sorted(cycle_vs.index(x) for x in d.arcs[aid][0] if x in cycle_vs)),
-                tuple(sorted(cycle_vs.index(x) for x in d.arcs[aid][1] if x in cycle_vs)),
-            )
-            for aid in path_arcs + [hid]
-        ),
-    )
-    u_local = even_cycle_nullvector(cycle)
-    u = u_local[:-1] * int(u_local[-1])  # scale so the h coordinate is +1
+    u_cycle = _alternating(m, list(w.paths[first]), path_arcs + [hid])
+    u = u_cycle[:-1] * int(u_cycle[-1])
     root = w.root
     a_arc = w.path_edge_ids[second][0]
     lhs_root = int(sum(m[root, f] * u[t] for t, f in enumerate(path_arcs)))

@@ -5,6 +5,7 @@ import sys
 from importlib import resources
 
 import jsonschema
+import pytest
 
 from tuhyper import cli, core, detect
 
@@ -147,6 +148,28 @@ def test_budget_exit_code():
     assert r.returncode == 3
     r2 = run("delta", fixture_path("fig1"), "--max-order", "2")
     assert r2.returncode == 3
+
+
+def test_each_subcommand_takes_only_the_limits_it_reads(capsys):
+    takes = {"check": ("--max-nodes", "--max-order"), "delta": ("--max-order",),
+             "detect": ("--max-nodes",), "extract": ("--max-nodes",), "camion": (),
+             "reduce": (), "build-r": (), "gen": (), "selftest": ()}
+    for command, kept in takes.items():
+        argv = [command] + {"gen": ["--seed", "1", "--vertices", "5"],
+                            "selftest": []}.get(command, [fixture_path("fig1")])
+        for flag in ("--max-nodes", "--max-order"):
+            if flag in kept:
+                assert getattr(cli._build_parser().parse_args(argv + [flag, "5"]),
+                               flag[2:].replace("-", "_")) == 5
+            else:
+                with pytest.raises(SystemExit) as exc:
+                    cli.main(argv + [flag, "5"])
+                assert exc.value.code == 2, (command, flag)
+    # gen always prints JSON
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["gen", "--seed", "1", "--vertices", "5", "--json"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --json" in capsys.readouterr().err
 
 
 def test_missing_file_is_input_error():

@@ -170,6 +170,13 @@ def test_mixed_from_matrix_round_trip():
         core.mixed_from_matrix(np.array([[2, 0], [0, 1]]))
 
 
+def test_mixed_from_matrix_needs_one_name_per_row():
+    # too many names would add isolated vertices, too few would blame an arc
+    for names in (("a", "b", "c"), ("a",)):
+        with pytest.raises(InputError, match=f"{len(names)} vertex names for 2 matrix rows"):
+            core.mixed_from_matrix(np.eye(2, dtype=np.int64), names)
+
+
 def test_instance_json_round_trip():
     for name in core.FIXTURE_NAMES:
         g = core.fixture(name)

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from tuhyper import core, detect, linalg
@@ -7,6 +9,7 @@ from tuhyper.errors import PreconditionError, SizeGuardError
 from tuhyper.extract import (
     NiceCycle,
     _assert_candidate,
+    _first_cycle,
     _crossover,
     _extract_core,
     almost_nice_cycle,
@@ -120,6 +123,49 @@ def test_enforce_forest_reports_graph_cycle():
     cyc = enforce_forest(g)
     assert cyc is not None and len(cyc.vertices) == 4 and cyc.special is None
     assert enforce_forest(core.fixture("fig1")) is None
+
+
+def test_first_cycle_closes_at_the_first_cyclic_prefix():
+    rnd = random.Random(7)
+    closed = 0
+    for _ in range(3000):
+        n = rnd.randint(2, 8)
+        pairs = []
+        for _ in range(rnd.randint(0, 10)):
+            if pairs and rnd.random() < 0.2:  # a parallel pair, either way round
+                a, b = rnd.choice(pairs)
+                pairs.append((b, a) if rnd.random() < 0.5 else (a, b))
+            else:
+                pairs.append(tuple(rnd.sample(range(n), 2)))
+        tags = rnd.sample(range(100), len(pairs))
+        got = _first_cycle([(a, b, t) for (a, b), t in zip(pairs, tags)])
+        # the test's own union-find: the first pair whose ends are connected
+        comp = list(range(n))
+
+        def root(v):
+            while comp[v] != v:
+                v = comp[v]
+            return v
+
+        close = None
+        for i, (a, b) in enumerate(pairs):
+            if root(a) == root(b):
+                close = i
+                break
+            comp[root(a)] = root(b)
+        if close is None:
+            assert got is None
+            continue
+        closed += 1
+        verts, cyc_tags = got
+        assert verts[0] == pairs[close][0] and verts[-1] == pairs[close][1]
+        assert cyc_tags[-1] == tags[close]
+        assert len(set(verts)) == len(verts) == len(cyc_tags) == len(set(cyc_tags)) >= 2
+        for i, t in enumerate(cyc_tags):
+            j = tags.index(t)
+            assert j <= close
+            assert {verts[i], verts[(i + 1) % len(verts)]} == set(pairs[j])
+    assert closed > 1000
 
 
 def test_graph_cycle_branch_removes_even_cycle():
