@@ -137,8 +137,11 @@ def _cmd_extract(args) -> int:
         "trace": list(result.trace),
     }
     if args.trace:
-        with open(args.trace, "w", encoding="utf-8") as fh:
-            json.dump(doc["trace"], fh, indent=2)
+        try:
+            with open(args.trace, "w", encoding="utf-8") as fh:
+                json.dump(doc["trace"], fh, indent=2)
+        except OSError as exc:
+            raise InputError(f"cannot write {args.trace}: {exc.strerror or exc}") from None
     _emit(args, doc, [f"witness: {json.dumps(doc['witness'])}",
                       f"trace: {len(result.trace)} steps"])
     return 1
@@ -331,6 +334,12 @@ def _cmd_selftest(args) -> int:
     return 0 if ok else 1
 
 
+def _positive_int(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="tuhyper",
@@ -340,12 +349,12 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = top.add_subparsers(dest="command", required=True)
 
     limits = {
-        "--max-nodes": dict(type=int, default=detect.DEFAULT_SEARCH_BUDGET,
+        "--max-nodes": dict(type=_positive_int, default=detect.DEFAULT_SEARCH_BUDGET,
                             help="budget per search phase: path nodes, the vertices its "
                                  "reachability tests expand and the edges its absence "
                                  "proof unites; graph hosts are decided in polynomial "
                                  "time without it"),
-        "--max-order": dict(type=int, default=linalg.DEFAULT_MAX_DIMENSION_SUM,
+        "--max-order": dict(type=_positive_int, default=linalg.DEFAULT_MAX_DIMENSION_SUM,
                             help="rows+cols guard for exhaustive enumerations"),
     }
 
@@ -366,7 +375,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("delta", help="maximum absolute subdeterminant")
     common(p, "--max-order")
-    p.add_argument("--cap", type=int, default=None, help="largest submatrix order")
+    p.add_argument("--cap", type=_positive_int, default=None, help="largest submatrix order")
     p.set_defaults(run=_cmd_delta)
 
     p = sub.add_parser("detect", help="search for a forbidden structure")

@@ -769,8 +769,11 @@ def _edge_ids(ids, field: str) -> tuple[int, ...]:
 
 def witness_from_dict(host, doc: dict):
     """Parse a certificate produced by `witness_to_dict`."""
+    if not isinstance(doc, dict):
+        raise InputError("a certificate must be a JSON object")
     try:
-        cls = _WITNESS_CLASSES.get(doc["kind"])
+        kind = doc["kind"]
+        cls = _WITNESS_CLASSES.get(kind) if isinstance(kind, str) else None
         if cls in (OddCycleWitness, MixedOddCycleWitness):
             return cls(_vertex_ids(host, doc["vertices"], "vertices"),
                        _edge_ids(doc["edge_ids"], "edge_ids"))

@@ -14,7 +14,8 @@ from __future__ import annotations
 from contextlib import contextmanager
 from dataclasses import dataclass
 
-from .core import Hypergraph, _bits, incidence_matrix, is_disjoint, is_eulerian, support_size
+from .core import (Hypergraph, SubSelection, _bits, incidence_matrix, induce, is_disjoint,
+                   is_eulerian, support_size)
 from .detect import (
     DEFAULT_SEARCH_BUDGET,
     OddCycleWitness,
@@ -26,7 +27,7 @@ from .detect import (
 )
 from .errors import InternalConsistencyError, PreconditionError
 from .linalg import _eulerian_selections
-from .quasi import QuasiEmbedding, _closed_walk_parity, _conflicts, conflicts as quasi_conflicts
+from .quasi import _closed_walk_parity, conflicts
 
 __all__ = [
     "EulerianCore",
@@ -93,12 +94,8 @@ def find_eulerian_core(g: Hypergraph, max_vertices: int = 16) -> EulerianCore:
             supp += trace.bit_count()
         if covered != umask or supp % 4 != 2:
             continue
-        renum = {v: i for i, v in enumerate(us)}
-        edges = tuple(
-            tuple(renum[v] for v in g.edges[eid] if v in renum) for eid in fs
-        )
-        sub = Hypergraph(tuple(g.names[v] for v in us), edges)
-        return EulerianCore(sub, us, fs)
+        # every chosen edge meets U, so induce keeps all of them, in order
+        return EulerianCore(induce(g, SubSelection(us, fs)).sub, us, fs)
     raise PreconditionError("input is unimodular: no support-violating Eulerian selection")
 
 
@@ -363,13 +360,12 @@ def reduce_by_cycle(host: Hypergraph, nice: NiceCycle) -> ReducedPair:
         _ic("reduce-eulerian", "reduced hypergraph is not Eulerian")
     if not is_disjoint(sub):
         _ic("reduce-disjoint", "reduced hypergraph is not disjoint")
-    q = QuasiEmbedding(host, sub, tuple(phi))
-    report = quasi_conflicts(q)
+    items = [(frozenset(keep_vs[v] for v in e), hid) for e, hid in zip(edges, phi)]
+    confl = conflicts(host, items, set(keep_vs))
     allowed = set() if nice.special is None else {nice.special}
-    if not set(report.conflicts) <= allowed:
-        _ic("reduce-conflicts", f"unexpected conflicts {report.conflicts}")
-    return ReducedPair(host, nice, sub, tuple(keep_vs), tuple(phi),
-                       not report.conflicts)
+    if not set(confl) <= allowed:
+        _ic("reduce-conflicts", f"unexpected conflicts {tuple(confl)}")
+    return ReducedPair(host, nice, sub, tuple(keep_vs), tuple(phi), not confl)
 
 
 def _verified_house(host, root, leaves, paths, path_ids, h_edge, step):
@@ -419,7 +415,7 @@ def lift_tree_house(rp: ReducedPair, w: OddTreeHouseWitness) -> OddTreeHouseWitn
             _ic("tree-house-lift", "edge map stopped being injective")
         vset = {v for seq in paths for v in seq} | {root, *leaves}
         with _step("tree-house-lift"):
-            confl = _conflicts(host, items, vset)
+            confl = conflicts(host, items, vset)
         if not confl:
             return _verified_house(host, root, leaves, paths, path_ids, h_edge,
                                    "tree-house-lift")
@@ -491,7 +487,7 @@ def _assert_candidate(host, root, leaves, paths, path_ids, h_edge, step):
     items = _path_items(paths, path_ids) + [(frozenset(quad), h_edge)]
     vset = {v for seq in paths for v in seq} | quad
     with _step(step):
-        confl = _conflicts(host, items, vset)
+        confl = conflicts(host, items, vset)
     for e in confl:
         content = set(host.edges[e])
         if len(content) < 4 or e == h_edge:
@@ -539,7 +535,7 @@ def lift_odd_cycle(rp: ReducedPair, max_nodes: int = DEFAULT_SEARCH_BUDGET) -> O
     kp_ids = [phi[e] for e in chosen.edge_ids]
     k_items = _path_items([kv_host + kv_host[:1]], [kp_ids])
     with _step("cycle-lift-conflict"):
-        confl = _conflicts(host, k_items, set(kv_host))
+        confl = conflicts(host, k_items, set(kv_host))
     if confl != [special]:
         _ic("cycle-lift-conflict", f"cycle conflicts are {confl}, not the special edge")
     f_star = [pair for pair, hid in k_items if hid == special]

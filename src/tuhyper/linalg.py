@@ -40,12 +40,13 @@ DEFAULT_MAX_DIMENSION_SUM = 22
 
 def det_exact(m) -> int:
     """Exact determinant via fraction-free elimination on Python integers."""
-    a = [[int(x) for x in row] for row in np.asarray(m)]
+    m = np.asarray(m)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise InputError("det_exact expects a square matrix")
+    a = [[int(x) for x in row] for row in m]
     n = len(a)
     if n == 0:
         return 1
-    if any(len(row) != n for row in a):
-        raise InputError("det_exact expects a square matrix")
     sign = 1
     prev = 1
     for i in range(n):
@@ -113,6 +114,8 @@ def batch_det_exact(mats: np.ndarray) -> np.ndarray:
 
 
 def _check_guard(m: np.ndarray, max_dimension_sum: int) -> None:
+    if m.ndim != 2:
+        raise InputError(f"expected a two-dimensional matrix, got {m.ndim} dimensions")
     rows, cols = m.shape
     if rows + cols > max_dimension_sum:
         raise SizeGuardError(
@@ -205,6 +208,8 @@ def max_abs_subdet(m, cap: int | None = None,
     witness is the first submatrix achieving the maximum in that order, so
     results are reproducible.
     """
+    if cap is not None and cap < 1:
+        raise InputError(f"cap must be a positive submatrix order, got {cap}")
     m = np.asarray(m, dtype=np.int64)
     _check_guard(m, max_dimension_sum)
     best = DeltaResult(0, (), ())

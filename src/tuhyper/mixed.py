@@ -158,19 +158,22 @@ def replay(d: MixedHypergraph, transcript: list[dict]) -> MixedHypergraph:
     """Apply a transcript of negate/split/unsplit steps to an instance."""
     cur = d
     for step in transcript:
-        op = step["op"]
-        if op == "negate_row":
-            cur = negate_row(cur, cur.vertex_id(step["vertex"]))
-        elif op == "negate_column":
-            cur = negate_column(cur, step["arc"])
-        elif op == "split":
-            cur, done = split_arc(cur, step["arc"])
-            if done["new_vertex"] != step["new_vertex"]:
-                raise InputError("transcript does not match the instance")
-        elif op == "unsplit":
-            cur = _unsplit(cur, step)
-        else:
-            raise InputError(f"unknown transcript op {op!r}")
+        try:
+            op = step["op"]
+            if op == "negate_row":
+                cur = negate_row(cur, cur.vertex_id(step["vertex"]))
+            elif op == "negate_column":
+                cur = negate_column(cur, step["arc"])
+            elif op == "split":
+                cur, done = split_arc(cur, step["arc"])
+                if done["new_vertex"] != step["new_vertex"]:
+                    raise InputError("transcript does not match the instance")
+            elif op == "unsplit":
+                cur = _unsplit(cur, step)
+            else:
+                raise InputError(f"unknown transcript op {op!r}")
+        except KeyError as exc:
+            raise InputError(f"transcript step {step!r} is missing field {exc}") from None
     return cur
 
 
@@ -312,6 +315,8 @@ def classify_almost_tu_disjoint(d: MixedHypergraph) -> Classification:
     only those chains and finds a whole tree house if there is one, and a
     witness on all n vertices uses all n arcs.
     """
+    if not isinstance(d, MixedHypergraph):
+        raise InputError(f"expected a MixedHypergraph, got {type(d).__name__}")
     _require_disjoint(d)
     w = _whole_cycle_witness(d)
     if w is not None:

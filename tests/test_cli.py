@@ -148,6 +148,9 @@ def test_budget_exit_code():
     assert r.returncode == 3
     r2 = run("delta", fixture_path("fig1"), "--max-order", "2")
     assert r2.returncode == 3
+    # a limit is a positive integer; any other value is an input error
+    assert run("check", fixture_path("fig1"), "--max-nodes", "-1").returncode == 2
+    assert run("delta", fixture_path("fig1"), "--cap", "-3").returncode == 2
 
 
 def test_each_subcommand_takes_only_the_limits_it_reads(capsys):
@@ -161,6 +164,10 @@ def test_each_subcommand_takes_only_the_limits_it_reads(capsys):
             if flag in kept:
                 assert getattr(cli._build_parser().parse_args(argv + [flag, "5"]),
                                flag[2:].replace("-", "_")) == 5
+                for bad in ("0", "-1", "x"):
+                    with pytest.raises(SystemExit) as exc:
+                        cli.main(argv + [flag, bad])
+                    assert exc.value.code == 2, (command, flag, bad)
             else:
                 with pytest.raises(SystemExit) as exc:
                     cli.main(argv + [flag, "5"])
@@ -175,6 +182,13 @@ def test_each_subcommand_takes_only_the_limits_it_reads(capsys):
 def test_missing_file_is_input_error():
     r = run("check", "no-such-file.json")
     assert r.returncode == 2
+
+
+def test_unwritable_trace_is_input_error(tmp_path):
+    for target in (tmp_path / "no-such-dir" / "t.json", tmp_path):
+        r = run("extract", fixture_path("fig1"), "--trace", str(target))
+        _assert_input_error(r)
+        assert str(target) in r.stderr
 
 
 def test_selftest_passes():

@@ -355,6 +355,9 @@ def test_a_host_of_the_other_type_is_an_input_error():
                       (shortest_odd_cycles, fig5)):
         with pytest.raises(InputError, match="expected a"):
             run(host)
+    for doc in ([], {"kind": []}):  # a list for the certificate, a list for its kind
+        with pytest.raises(InputError):
+            witness_from_dict(fig1, doc)
 
 
 def _ring_with_a_triple(n):

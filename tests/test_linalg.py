@@ -23,6 +23,14 @@ def test_det_exact_fixture_values():
 def test_det_exact_rejects_non_square():
     with pytest.raises(InputError):
         linalg.det_exact(np.ones((2, 3), dtype=int))
+    with pytest.raises(InputError):
+        linalg.det_exact([1, 2])
+    for run in (linalg.max_abs_subdet, linalg.tu_violation, linalg.is_almost_tu):
+        with pytest.raises(InputError, match="two-dimensional"):
+            run(np.array([1, 2]))
+    for cap in (0, -3):
+        with pytest.raises(InputError, match="cap"):
+            linalg.max_abs_subdet(core.incidence_matrix(core.fixture("fig1")), cap=cap)
 
 
 def test_det_exact_matches_cofactor_on_randoms():

@@ -192,6 +192,8 @@ def test_normalize_rejects_odd_support_mix():
     d = MixedHypergraph.from_names("uvw", [(("u",), ("v", "w"))])
     with pytest.raises(PreconditionError):
         normalize_to_hypergraph(d)
+    with pytest.raises(InputError, match="missing field 'vertex'"):
+        replay(d, [{"op": "negate_row"}])
 
 
 def test_nullvector_examples():
@@ -289,6 +291,8 @@ def test_build_r_transpose_case():
 def test_build_r_rejects_non_almost_tu():
     with pytest.raises(PreconditionError):
         build_r_matrix(core.fixture("dir4"))
+    with pytest.raises(InputError, match="expected a MixedHypergraph"):
+        classify_almost_tu_disjoint(core.fixture("fig1"))
 
 
 def test_build_r_planted_tree_houses():

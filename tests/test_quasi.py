@@ -1,11 +1,35 @@
 import pytest
 
-from tuhyper import core, quasi
+from tuhyper import core
 from tuhyper.core import Hypergraph, SubSelection
 from tuhyper.errors import InputError, InternalConsistencyError, PreconditionError
 from tuhyper.detect import find_odd_cycle
 from tuhyper.gen import GenConfig, Xoshiro256StarStar, generate
-from tuhyper.quasi import QuasiEmbedding, add_edge, conflicts, inclusion, is_partial, restrict, verify_quasi, walk_parity_closed
+from tuhyper.quasi import _closed_walk_parity, _preimages, conflicts
+
+
+def _items(host, sub_edges, phi):
+    """Sub edges given by host vertex names, as items (vertex ids, host edge)."""
+    return [(frozenset(host.vertex_id(nm) for nm in e), hid) for e, hid in zip(sub_edges, phi)]
+
+
+def _vset(items):
+    return frozenset().union(*(content for content, _ in items))
+
+
+def _inclusion(host, sel):
+    """Items of host[U, F], each trace mapped to its own edge, and U."""
+    us = frozenset(sel.vertices)
+    items = [(frozenset(host.edges[e]) & us, e) for e in sel.edge_ids]
+    return [(content, e) for content, e in items if content], us
+
+
+def _restrict(items, us, fs):
+    """Items of the sub edges fs traced on the sub vertices us (positions)."""
+    vs = sorted(_vset(items))
+    keep = frozenset(vs[i] for i in us)
+    out = [(items[f][0] & keep, items[f][1]) for f in fs]
+    return [(content, hid) for content, hid in out if content], keep
 
 
 def _five_cycle_into_host():
@@ -14,10 +38,9 @@ def _five_cycle_into_host():
     host = Hypergraph.from_names(
         ["u0", "u1", "u2", "u3", "u4"],
         [["u1", "u2"], ["u0", "u1"], ["u0", "u4"], ["u3", "u4"], ["u0", "u2", "u3"]])
-    sub = Hypergraph.from_names(
-        ["u0", "u1", "u2", "u3", "u4"],
-        [["u1", "u2"], ["u0", "u1"], ["u0", "u4"], ["u3", "u4"], ["u2", "u3"]])
-    return QuasiEmbedding(host, sub, (0, 1, 2, 3, 4))
+    items = _items(host, [["u1", "u2"], ["u0", "u1"], ["u0", "u4"], ["u3", "u4"],
+                          ["u2", "u3"]], (0, 1, 2, 3, 4))
+    return host, items
 
 
 def _six_cycle_into_host():
@@ -26,33 +49,33 @@ def _six_cycle_into_host():
         ["v0", "v1", "v2", "v3", "v4", "v5"],
         [["v0", "v1"], ["v1", "v2"], ["v3", "v4"], ["v4", "v5"],
          ["v0", "v2", "v3", "v5"]])
-    sub = Hypergraph.from_names(
-        ["v0", "v1", "v2", "v3", "v4", "v5"],
-        [["v0", "v1"], ["v1", "v2"], ["v2", "v3"], ["v3", "v4"],
-         ["v4", "v5"], ["v0", "v5"]])
-    return QuasiEmbedding(host, sub, (0, 1, 4, 2, 3, 4))
+    items = _items(host, [["v0", "v1"], ["v1", "v2"], ["v2", "v3"], ["v3", "v4"],
+                          ["v4", "v5"], ["v0", "v5"]], (0, 1, 4, 2, 3, 4))
+    return host, items
 
 
 def test_five_cycle_embedding_is_quasi():
-    assert verify_quasi(_five_cycle_into_host())
+    assert _preimages(*_five_cycle_into_host()) is not None
 
 
 def test_six_cycle_embedding_is_quasi():
-    assert verify_quasi(_six_cycle_into_host())
+    assert _preimages(*_six_cycle_into_host()) is not None
 
 
 def test_overlapping_preimages_violate_q2():
     host = Hypergraph.from_names("abc", [["a", "b", "c"]])
-    sub = Hypergraph.from_names("abc", [["a", "b"], ["b", "c"]])
-    assert not verify_quasi(QuasiEmbedding(host, sub, (0, 0)))
+    items = _items(host, [["a", "b"], ["b", "c"]], (0, 0))
+    assert _preimages(host, items) is None
+    with pytest.raises(PreconditionError):
+        conflicts(host, items, _vset(items))
+    # Q1: an item outside its host edge
+    with pytest.raises(PreconditionError):
+        conflicts(host, [(frozenset({0, 1}), 0), (frozenset({0, 2}), 0)], {0, 1, 2})
 
 
 def test_vertex_removal_edge_is_a_conflict():
-    q = _five_cycle_into_host()
-    rep = conflicts(q)
-    assert rep.conflicts == (4,)
-    assert rep.witnesses == (4,)  # the {u2,u3} sub edge
-    assert not is_partial(q)
+    host, items = _five_cycle_into_host()
+    assert conflicts(host, items, _vset(items)) == [4]
 
 
 def test_split_edge_is_a_conflict_too():
@@ -60,72 +83,49 @@ def test_split_edge_is_a_conflict_too():
     # hyperedge into a matching is a conflict as well: were it conflict-free,
     # the embedding would be a partial subhypergraph, but the edge map here
     # is not even injective
-    q = _six_cycle_into_host()
-    rep = conflicts(q)
-    assert rep.conflicts == (4,)
-    assert not is_partial(q)
+    host, items = _six_cycle_into_host()
+    assert conflicts(host, items, _vset(items)) == [4]
 
 
 def test_inclusion_embeddings_are_partial():
     g = core.fixture("fig2")
-    q = inclusion(g, SubSelection((0, 1, 2), (0, 2, 3)))
-    assert verify_quasi(q)
-    assert conflicts(q).conflicts == ()
-    assert is_partial(q)
+    items, us = _inclusion(g, SubSelection((0, 1, 2), (0, 2, 3)))
+    assert conflicts(g, items, us) == []
+    assert len({hid for _, hid in items}) == len(items)
 
 
 def test_dangling_references_rejected():
     host = Hypergraph.from_names("ab", [["a", "b"]])
-    sub = Hypergraph.from_names(["a", "z"], [["a", "z"]])
     with pytest.raises(InputError):
-        QuasiEmbedding(host, sub, (0,))
-    sub2 = Hypergraph.from_names("ab", [["a", "b"]])
+        conflicts(host, [(frozenset({0, 7}), 0)], {0, 7})  # no host vertex 7
     with pytest.raises(InputError):
-        QuasiEmbedding(host, sub2, (5,))
-
-
-def test_restrict_full_selection_is_identity():
-    q = _five_cycle_into_host()
-    r = restrict(q, SubSelection(tuple(range(5)), tuple(range(5))))
-    assert r.sub == q.sub and r.phi == q.phi
+        conflicts(host, [(frozenset({0, 1}), 5)], {0, 1})  # no host edge 5
 
 
 def test_restrict_never_grows_conflicts():
     rng = Xoshiro256StarStar(21)
-    q = _five_cycle_into_host()
-    base = set(conflicts(q).conflicts)
+    host, items = _five_cycle_into_host()
+    base = set(conflicts(host, items, _vset(items)))
     for _ in range(50):
         us = tuple(sorted(rng.sample(range(5), 1 + rng.randrange(5))))
         fs = tuple(sorted(rng.sample(range(5), 1 + rng.randrange(5))))
-        sel = SubSelection(us, fs)
-        assert set(conflicts(restrict(q, sel)).conflicts) <= base
+        sub, keep = _restrict(items, us, fs)
+        assert set(conflicts(host, sub, keep)) <= base
 
 
 def test_restrict_avoiding_conflict_preimages_is_partial():
-    q = _five_cycle_into_host()
+    host, items = _five_cycle_into_host()
     # drop the edge mapped into the conflict; what remains is partial
-    r = restrict(q, SubSelection(tuple(range(5)), (0, 1, 2, 3)))
-    assert is_partial(r)
-
-
-def test_add_edge_preconditions():
-    host = core.fixture("fig1")
-    q = inclusion(host, SubSelection((0, 1), (0,)))
-    with pytest.raises(PreconditionError):
-        add_edge(q, 0)  # already in the image
-    host2 = Hypergraph.from_names("abcd", [["a", "b"], ["c", "d"]])
-    q2 = inclusion(host2, SubSelection((0, 1), (0,)))
-    with pytest.raises(PreconditionError):
-        add_edge(q2, 1)  # misses the sub entirely
+    sub, keep = _restrict(items, range(5), (0, 1, 2, 3))
+    assert conflicts(host, sub, keep) == []
 
 
 def test_add_edge_closes_a_path_into_a_cycle():
     c4 = core.fixture("c4")
-    path = inclusion(c4, SubSelection((0, 1, 2, 3), (0, 1, 2)))
-    closed = add_edge(path, 3)
-    assert is_partial(closed)
-    assert closed.sub.n_edges == 4
-    assert closed.phi == (0, 1, 2, 3)
+    path, us = _inclusion(c4, SubSelection((0, 1, 2, 3), (0, 1, 2)))
+    closed = path + [(frozenset(c4.edges[3]) & us, 3)]
+    assert conflicts(c4, closed, us) == []
+    assert [hid for _, hid in closed] == [0, 1, 2, 3]
 
 
 def test_add_edge_preserves_conflicts_random():
@@ -139,19 +139,21 @@ def test_add_edge_preserves_conflicts_random():
                                      2 + rng.randrange(g.n_vertices - 1))))
         fs = tuple(sorted(rng.sample(range(g.n_edges),
                                      1 + rng.randrange(g.n_edges))))
-        q = inclusion(g, SubSelection(us, fs))
+        items, vset = _inclusion(g, SubSelection(us, fs))
+        used = {hid for _, hid in items}
         fresh = [e for e in range(g.n_edges)
-                 if e not in q.phi and set(g.edges[e]) & set(us)]
+                 if e not in used and set(g.edges[e]) & set(us)]
         if not fresh:
             continue
-        before = conflicts(q).conflicts
-        assert conflicts(add_edge(q, fresh[0])).conflicts == before
+        before = conflicts(g, items, vset)
+        added = items + [(frozenset(g.edges[fresh[0]]) & vset, fresh[0])]
+        assert conflicts(g, added, vset) == before
 
 
 def test_walk_parity_on_even_cycle_host():
     c4 = core.fixture("c4")
-    path = inclusion(c4, SubSelection((0, 1, 2, 3), (0, 1, 2)))
-    assert walk_parity_closed(path, 3) == 1
+    path, us = _inclusion(c4, SubSelection((0, 1, 2, 3), (0, 1, 2)))
+    assert _closed_walk_parity(c4, path, us, [3]) == 1
 
 
 def test_walk_parity_two_disjoint_walks():
@@ -159,16 +161,8 @@ def test_walk_parity_two_disjoint_walks():
     host = Hypergraph.from_names(
         "abcdef",
         [["a", "b"], ["b", "c"], ["d", "e"], ["e", "f"], ["a", "d"], ["c", "f"]])
-    both = inclusion(host, SubSelection(tuple(range(6)), (0, 1, 2, 3)))
-    assert walk_parity_closed(both, 4, 5) == 0
-
-
-def test_walk_parity_rejects_odd_cycle_host():
-    host = Hypergraph.from_names(
-        "abc", [["a", "b"], ["b", "c"], ["a", "c"]])
-    path = inclusion(host, SubSelection((0, 1, 2), (0, 1)))
-    with pytest.raises(PreconditionError):
-        walk_parity_closed(path, 2)
+    both, us = _inclusion(host, SubSelection(tuple(range(6)), (0, 1, 2, 3)))
+    assert _closed_walk_parity(host, both, us, [4, 5]) == 0
 
 
 def test_walk_parity_flags_violation_when_check_is_skipped():
@@ -176,16 +170,16 @@ def test_walk_parity_flags_violation_when_check_is_skipped():
     # cycle: the parity mismatch must surface as an internal-consistency error
     host = Hypergraph.from_names(
         "abc", [["a", "b"], ["b", "c"], ["a", "c"]])
-    path = inclusion(host, SubSelection((0, 1, 2), (0, 1)))
+    path, us = _inclusion(host, SubSelection((0, 1, 2), (0, 1)))
     with pytest.raises(InternalConsistencyError):
-        walk_parity_closed(path, 2, host_odd_cycle_checked=True)
+        _closed_walk_parity(host, path, us, [2])
 
 
 def test_walk_parity_rejects_bad_closing_edge():
     c4 = core.fixture("c4")
-    path = inclusion(c4, SubSelection((0, 1, 2, 3), (0, 1, 2)))
+    path, us = _inclusion(c4, SubSelection((0, 1, 2, 3), (0, 1, 2)))
     with pytest.raises(PreconditionError):
-        walk_parity_closed(path, 1)  # already on the walk
+        _closed_walk_parity(c4, path, us, [1])  # already on the walk
 
 
 def _simple_paths(g, start):
@@ -216,21 +210,12 @@ def test_closed_walk_parity_exhaustive_on_odd_cycle_free_hosts():
             continue
         for start in range(g.n_vertices):
             for vs, es in _simple_paths(g, start):
-                sel = SubSelection(tuple(sorted(vs)), tuple(sorted(es)))
-                q = inclusion(g, sel)
+                items, us = _inclusion(g, SubSelection(tuple(sorted(vs)), tuple(sorted(es))))
                 ends = {vs[0], vs[-1]}
                 for eid, edge in enumerate(g.edges):
                     if eid in es:
                         continue
                     if set(edge) & set(vs) == ends:
-                        assert walk_parity_closed(q, eid,
-                                                  host_odd_cycle_checked=True) == 1
+                        assert _closed_walk_parity(g, items, us, [eid]) == 1
                         checked += 1
     assert checked > 50
-
-
-def test_embedding_json_round_trip():
-    q = _five_cycle_into_host()
-    doc = quasi.embedding_to_dict(q)
-    back = quasi.embedding_from_dict(q.host, doc)
-    assert back.sub == q.sub and back.phi == q.phi
