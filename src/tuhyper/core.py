@@ -61,6 +61,12 @@ def _bits(mask: int):
         mask ^= low
 
 
+def _expect(g, kind: type) -> None:
+    """Raise InputError unless g is a `kind` (Hypergraph or MixedHypergraph)."""
+    if not isinstance(g, kind):
+        raise InputError(f"expected a {kind.__name__}, got {type(g).__name__}")
+
+
 @dataclass(frozen=True)
 class Hypergraph:
     """A vertex set plus a multiset of nonempty hyperedges."""
@@ -102,7 +108,7 @@ class Hypergraph:
     def vertex_id(self, name: str) -> int:
         try:
             return self._index[name]  # type: ignore[attr-defined]
-        except KeyError:
+        except (KeyError, TypeError):  # an unhashable name is unknown too
             raise InputError(f"unknown vertex name {name!r}") from None
 
     def degree(self, v: int) -> int:
@@ -186,7 +192,7 @@ class MixedHypergraph:
     def vertex_id(self, name: str) -> int:
         try:
             return self._index[name]  # type: ignore[attr-defined]
-        except KeyError:
+        except (KeyError, TypeError):  # an unhashable name is unknown too
             raise InputError(f"unknown vertex name {name!r}") from None
 
     def support(self, aid: int) -> tuple[int, ...]:

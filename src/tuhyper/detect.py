@@ -810,6 +810,7 @@ def _require_disjoint(g) -> None:
 
 def _decide(host, max_nodes: int, kind: _Kind | None = None) -> Decision:
     """TU decision for a disjoint host; `kind` as in `_search`."""
+    _kind(host, kind)
     _require_disjoint(host)
     w = _search(host, max_nodes, kind)
     return Decision(tu=w is None, witness=w)

@@ -14,8 +14,8 @@ from __future__ import annotations
 from contextlib import contextmanager
 from dataclasses import dataclass
 
-from .core import (Hypergraph, SubSelection, _bits, incidence_matrix, induce, is_disjoint,
-                   is_eulerian, support_size)
+from .core import (Hypergraph, SubSelection, _bits, _expect, incidence_matrix, induce,
+                   is_disjoint, is_eulerian, support_size)
 from .detect import (
     DEFAULT_SEARCH_BUDGET,
     OddCycleWitness,
@@ -80,6 +80,7 @@ def find_eulerian_core(g: Hypergraph, max_vertices: int = 16) -> EulerianCore:
     `max_vertices` bounds their number, not the host's: pendant trees and
     isolated vertices cost nothing.
     """
+    _expect(g, Hypergraph)
     masks = list(g.edge_masks)
     for umask, fmask in _eulerian_selections(masks, g.n_vertices, max_vertices):
         if fmask.bit_count() != umask.bit_count():
@@ -658,6 +659,7 @@ def extract_witness(g: Hypergraph, max_nodes: int = DEFAULT_SEARCH_BUDGET,
     that survive degree-2 peeling (the only ones an Eulerian core can use,
     see `find_eulerian_core`); larger peeled sets raise SizeGuardError.
     """
+    _expect(g, Hypergraph)
     if not is_disjoint(g):
         raise PreconditionError("extraction requires a disjoint hypergraph")
     trace: list[dict] = []

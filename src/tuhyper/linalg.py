@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Hypergraph, MixedHypergraph, SubSelection, _bits
+from .core import Hypergraph, MixedHypergraph, SubSelection, _bits, _expect
 from .errors import InputError, SizeGuardError
 
 __all__ = [
@@ -40,7 +40,10 @@ DEFAULT_MAX_DIMENSION_SUM = 22
 
 def det_exact(m) -> int:
     """Exact determinant via fraction-free elimination on Python integers."""
-    m = np.asarray(m)
+    try:
+        m = np.asarray(m)
+    except ValueError:  # ragged rows
+        raise InputError("det_exact expects a square matrix") from None
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise InputError("det_exact expects a square matrix")
     a = [[int(x) for x in row] for row in m]
@@ -113,7 +116,12 @@ def batch_det_exact(mats: np.ndarray) -> np.ndarray:
     return np.where(alive, sign * a[:, n - 1, n - 1], 0)
 
 
-def _check_guard(m: np.ndarray, max_dimension_sum: int) -> None:
+def _check_guard(m, max_dimension_sum: int) -> np.ndarray:
+    """m as an int64 matrix, once it is one and small enough to enumerate."""
+    try:
+        m = np.asarray(m, dtype=np.int64)
+    except (TypeError, ValueError) as exc:  # ragged rows or non-integer entries
+        raise InputError(f"expected an integer matrix: {exc}") from None
     if m.ndim != 2:
         raise InputError(f"expected a two-dimensional matrix, got {m.ndim} dimensions")
     rows, cols = m.shape
@@ -130,6 +138,7 @@ def _check_guard(m: np.ndarray, max_dimension_sum: int) -> None:
     a = np.abs(np.asarray(m, dtype=np.float64))
     if _hadamard_bound(a) * a.sum(axis=0).max(initial=1.0) >= 2.0**62:
         raise SizeGuardError("entries too large for exact int64 enumeration")
+    return m
 
 
 @functools.lru_cache(maxsize=256)
@@ -210,8 +219,7 @@ def max_abs_subdet(m, cap: int | None = None,
     """
     if cap is not None and cap < 1:
         raise InputError(f"cap must be a positive submatrix order, got {cap}")
-    m = np.asarray(m, dtype=np.int64)
-    _check_guard(m, max_dimension_sum)
+    m = _check_guard(m, max_dimension_sum)
     best = DeltaResult(0, (), ())
     top = min(m.shape)
     if cap is not None:
@@ -230,8 +238,7 @@ def tu_violation(m, max_dimension_sum: int = DEFAULT_MAX_DIMENSION_SUM):
 
     Returns (rows, cols, det) or None when the matrix is totally unimodular.
     """
-    m = np.asarray(m, dtype=np.int64)
-    _check_guard(m, max_dimension_sum)
+    m = _check_guard(m, max_dimension_sum)
     for rows, cols, dets in _minors(m, min(m.shape)):
         bad = np.abs(dets) >= 2
         if bad.any():
@@ -252,8 +259,7 @@ def is_almost_tu(m, max_dimension_sum: int = DEFAULT_MAX_DIMENSION_SUM) -> bool:
     square matrices can be almost TU: the whole matrix must be the unique
     violation.
     """
-    m = np.asarray(m, dtype=np.int64)
-    _check_guard(m, max_dimension_sum)
+    m = _check_guard(m, max_dimension_sum)
     rows, cols = m.shape
     if rows != cols or rows == 0:
         return False
@@ -283,20 +289,71 @@ class CamionResult:
     value: int | None
 
 
-def _masks_by_size_then_value(n: int):
-    """Nonempty subsets of range(n) as masks, by popcount, then by value.
+# The walk filters vertex sets a block at a time.  Blocks grow from the first
+# size to the cap, so a walk that stops at a small |U| pays for one or two.
+_FIRST_BLOCK, _BLOCK_CAP = 64, 2048
+_TABLE_BITS = 16  # up to this |P| the blocks are slices of one cached table
+_MAX_WALK_BITS = 63  # subset masks are int64
 
-    Generated lazily (Gosper's hack steps to the next larger mask of equal
-    popcount), so a caller that stops early never pays for all 2^n masks.
+
+@functools.lru_cache(maxsize=_TABLE_BITS + 1)
+def _masks_by_popcount(n: int) -> np.ndarray:
+    """Nonempty subsets of range(n) as int64 masks, by popcount, then by value."""
+    masks = np.arange(1, 1 << n, dtype=np.int64)
+    masks = masks[np.argsort(np.bitwise_count(masks), kind="stable")]
+    masks.setflags(write=False)
+    return masks
+
+
+@functools.lru_cache(maxsize=_MAX_WALK_BITS + 1)
+def _binomials(n: int) -> np.ndarray:
+    """binom[i, c] = C(c, i) for i <= n and c < n, in int64 (n <= 63)."""
+    binom = np.array([[math.comb(c, i) for c in range(n)] for i in range(n + 1)],
+                     dtype=np.int64)
+    binom.setflags(write=False)
+    return binom
+
+
+def _unrank(n: int, k: int, start: int, stop: int) -> np.ndarray:
+    """Masks of the size-k subsets of range(n) of ranks start, ..., stop - 1
+    by value.
+
+    Ordered by value, the size-k subsets are in colexicographic order, and
+    the rank of {c_1 < ... < c_k} is sum_i C(c_i, i).  So c_k is the largest
+    c with C(c, k) <= rank, and the rest unranks rank - C(c_k, k) the same
+    way.
     """
-    limit = 1 << n
-    for k in range(1, n + 1):
-        mask = (1 << k) - 1
-        while mask < limit:
-            yield mask
-            low = mask & -mask
-            ripple = mask + low
-            mask = ripple | (((mask ^ ripple) >> 2) // low)
+    binom = _binomials(n)
+    rank = np.arange(start, stop, dtype=np.int64)
+    masks = np.zeros_like(rank)
+    for i in range(k, 0, -1):
+        c = np.searchsorted(binom[i], rank, side="right") - 1
+        masks |= np.left_shift(1, c)
+        rank -= binom[i, c]
+    return masks
+
+
+def _mask_blocks(n: int):
+    """The nonempty subsets of range(n) as int64 masks, by popcount, then by
+    value, in blocks of 64, 128, ... up to 2,048 masks.
+
+    Up to 16 bits the blocks are slices of one cached table of at most
+    512 KB and run across popcounts, so a short walk costs one or two
+    blocks, not one per popcount.  Above, each popcount comes in blocks of
+    its own, unranked on demand, so memory stays independent of 2^n.
+    """
+    if n <= _TABLE_BITS:
+        table = _masks_by_popcount(n)
+        layers = [(len(table), lambda a, b: table[a:b])]
+    else:
+        layers = [(math.comb(n, k), functools.partial(_unrank, n, k)) for k in range(1, n + 1)]
+    size = _FIRST_BLOCK
+    for total, take in layers:
+        start = 0
+        while start < total:
+            stop = min(start + size, total)
+            yield take(start, stop)
+            start, size = stop, min(2 * size, _BLOCK_CAP)
 
 
 def _gf2_nullspace(columns: list[int]) -> list[int]:
@@ -370,45 +427,58 @@ def _eulerian_selections(masks: list[int], n_vertices: int, guard: int,
     and a U with a vertex on fewer than two admissible edges is skipped
     (no F covers it).  The output is then the full walk's with those U
     removed, and every selection (U, F) in which F covers U is still in it,
-    at the same relative place.  `guard` bounds |P|.  Without `peel`, P is
-    all of range(n_vertices) and no U is skipped.
+    at the same relative place.  `guard` bounds |P|, and so does 63.
+    Without `peel`, P is all of range(n_vertices) and no U is skipped.
+
+    The sets U are filtered in numpy blocks of `_mask_blocks`: one int64
+    array holds the trace of every edge on every U of a block, the odd
+    traces are zeroed, and a bitwise-or scan down the edges gives the
+    vertices of each U on two admissible edges.  Only the U that pass go
+    through the nullspace in Python.
     """
     core = _core_vertices(masks, n_vertices) if peel else (1 << n_vertices) - 1
     verts = list(_bits(core))
-    if len(verts) > guard:
+    if len(verts) > min(guard, _MAX_WALK_BITS):
         counted = "vertices left by peeling" if peel else "vertices"
         raise SizeGuardError(
-            f"desk-scale exceeded: {len(verts)} {counted} > {guard} for the "
-            "Eulerian-subhypergraph enumeration"
+            f"desk-scale exceeded: {len(verts)} {counted} > {min(guard, _MAX_WALK_BITS)} "
+            "for the Eulerian-subhypergraph enumeration"
         )
-    # Depositing the subsets of range(|P|) onto P's vertex ids keeps their
-    # order; two tables, one per half of P, make each deposit two lookups.
-    half = len(verts) // 2
-    lo, hi = _subset_masks(verts[:half]), _subset_masks(verts[half:])
-    low_bits = (1 << half) - 1
     # an edge with fewer than two vertices in P is never admissible
-    edges = [(eid, m) for eid, m in enumerate(masks) if (m & core).bit_count() >= 2]
-    for c in _masks_by_size_then_value(len(verts)):
-        umask = lo[c & low_bits] | hi[c >> half]
-        cand = [(eid, t) for eid, m in edges if (t := m & umask) and not t.bit_count() & 1]
-        if not cand:
-            continue
+    eids = [eid for eid, m in enumerate(masks) if (m & core).bit_count() >= 2]
+    if not eids:
+        return
+    # The walk runs over the subsets c of range(|P|) and deposits bit i of c
+    # on vertex verts[i], which keeps their order: one table per byte of c
+    # makes each deposit a lookup per byte.  comp holds the edges compressed
+    # the same way.  Compressing keeps the order of the bits, so the
+    # nullspace of the compressed traces has the same basis.
+    deposit = [(i, _subset_masks(verts[i:i + 8])) for i in range(0, len(verts), 8)]
+    comp = np.array([sum(1 << i for i, v in enumerate(verts) if masks[e] >> v & 1)
+                     for e in eids], dtype=np.int64)
+    for block in _mask_blocks(len(verts)):
+        traces = comp[:, None] & block
+        traces *= (np.bitwise_count(traces) & 1) ^ 1  # zero the odd traces
         if peel:
-            once = twice = 0
-            for _, t in cand:
-                twice |= once & t
-                once |= t
-            if twice != umask:
-                continue
-        basis = _gf2_nullspace([t for _, t in cand])
-        # moving candidate bits onto their distinct edge ids is linear over
-        # GF(2), so it commutes with the XORs below
-        fbasis = [sum(1 << cand[i][0] for i in _bits(vec)) for vec in basis]
-        for combo_bits in range(1, 1 << len(fbasis)):
-            fmask = 0
-            for k in _bits(combo_bits):
-                fmask ^= fbasis[k]
-            yield umask, fmask
+            seen = np.bitwise_or.accumulate(traces, axis=0)
+            twice = np.bitwise_or.reduce(seen[:-1] & traces[1:], axis=0)
+            keep = np.flatnonzero(twice == block)
+        else:
+            keep = np.flatnonzero(traces.any(axis=0))
+        for c, col in zip(block[keep].tolist(), traces[:, keep].T.tolist()):
+            umask = 0
+            for shift, table in deposit:
+                umask |= table[c >> shift & 255]
+            cand = [(eids[i], t) for i, t in enumerate(col) if t]
+            basis = _gf2_nullspace([t for _, t in cand])
+            # moving candidate bits onto their distinct edge ids is linear
+            # over GF(2), so it commutes with the XORs below
+            fbasis = [sum(1 << cand[i][0] for i in _bits(vec)) for vec in basis]
+            for combo_bits in range(1, 1 << len(fbasis)):
+                fmask = 0
+                for k in _bits(combo_bits):
+                    fmask ^= fbasis[k]
+                yield umask, fmask
 
 
 def camion_unimodular(g: Hypergraph, max_vertices: int = 16) -> CamionResult:
@@ -424,6 +494,7 @@ def camion_unimodular(g: Hypergraph, max_vertices: int = 16) -> CamionResult:
     `max_vertices` bounds the number of vertices left by peeling (see
     `_core_vertices`), not the host's.
     """
+    _expect(g, Hypergraph)
     masks = list(g.edge_masks)
     for umask, fmask in _eulerian_selections(masks, g.n_vertices, max_vertices):
         supp = sum((masks[e] & umask).bit_count() for e in _bits(fmask))
@@ -443,6 +514,7 @@ def camion_unimodular_mixed(d: MixedHypergraph, max_vertices: int = 16) -> Camio
     (a first violating selection might leave a vertex of U uncovered), so
     `max_vertices` bounds the host's vertex count.
     """
+    _expect(d, MixedHypergraph)
     supports = list(d.support_masks)
     heads = list(d.head_masks)
     tails = list(d.tail_masks)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Hypergraph, MixedHypergraph, incidence_matrix, mixed_from_matrix
+from .core import Hypergraph, MixedHypergraph, _expect, incidence_matrix, mixed_from_matrix
 from .detect import (
     DEFAULT_SEARCH_BUDGET,
     MixedOddCycleWitness,
@@ -158,6 +158,8 @@ def replay(d: MixedHypergraph, transcript: list[dict]) -> MixedHypergraph:
     """Apply a transcript of negate/split/unsplit steps to an instance."""
     cur = d
     for step in transcript:
+        if not isinstance(step, dict):
+            raise InputError(f"transcript step {step!r} is not an object")
         try:
             op = step["op"]
             if op == "negate_row":
@@ -215,6 +217,7 @@ def normalize_to_hypergraph(d: MixedHypergraph) -> tuple[Hypergraph, list[dict]]
     on support >= 3 cannot be normalized this way and are rejected; Eulerian
     inputs never hit that case since all their supports are even.
     """
+    _expect(d, MixedHypergraph)
     _require_disjoint(d)
     transcript: list[dict] = []
     cur = d
@@ -274,6 +277,7 @@ def even_cycle_nullvector(c: MixedHypergraph) -> np.ndarray:
     Built by the alternating recursion along the cycle from vertex 0 and its
     lower arc, whose entry is +1.
     """
+    _expect(c, MixedHypergraph)
     trail = _trail(c)
     if trail is None or len(trail[0]) != len(trail[1]):
         raise InputError("input is not a mixed cycle")
@@ -315,8 +319,7 @@ def classify_almost_tu_disjoint(d: MixedHypergraph) -> Classification:
     only those chains and finds a whole tree house if there is one, and a
     witness on all n vertices uses all n arcs.
     """
-    if not isinstance(d, MixedHypergraph):
-        raise InputError(f"expected a MixedHypergraph, got {type(d).__name__}")
+    _expect(d, MixedHypergraph)
     _require_disjoint(d)
     w = _whole_cycle_witness(d)
     if w is not None:

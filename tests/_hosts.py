@@ -28,3 +28,18 @@ def noisy_tree_house(seed: int, lens: tuple[int, int, int], extra: int = 2,
         across = [[a, c] for a in sorted(side) for c in sorted(side) if a < c and side[a] != side[c]]
         edges += sorted(rnd.sample(across, min(noise, len(across))))
     return Hypergraph.from_names(names, edges)
+
+
+def bipartite_with_c9(n_b: int = 18, n_pairs: int = 28, seed: int = 1) -> Hypergraph:
+    """`n_pairs` random edges between the even and the odd vertices of
+    b0, ..., b{n_b - 1}, joined by the edge {b0, c0} to a separate C9 on
+    c0, ..., c8.  The b part is bipartite, so the C9 is the only odd cycle
+    and the smallest Eulerian core, and the Eulerian walk passes every
+    vertex set of up to nine of the vertices left by peeling before it (24
+    with the defaults)."""
+    rnd = random.Random(seed)
+    across = [(a, b) for a in range(n_b) for b in range(a + 1, n_b) if (b - a) % 2]
+    edges = [[f"b{a}", f"b{b}"] for a, b in sorted(rnd.sample(across, n_pairs))]
+    edges += [[f"c{i}", f"c{(i + 1) % 9}"] for i in range(9)] + [["b0", "c0"]]
+    return Hypergraph.from_names([f"b{i}" for i in range(n_b)] + [f"c{i}" for i in range(9)],
+                                 edges)

@@ -127,3 +127,87 @@ def _distinct_assignment(candidates: list[list[tuple[int, int]]], used=None, wan
             if _distinct_assignment(tail, used | {e}, want ^ parity):
                 return True
     return False
+
+
+def next_same_popcount(mask: int) -> int:
+    """The next larger mask with as many bits set (Gosper's hack)."""
+    low = mask & -mask
+    ripple = mask + low
+    return ripple | (((mask ^ ripple) >> 2) // low)
+
+
+def masks_by_size_then_value(n: int):
+    """Nonempty subsets of range(n) as masks, by popcount, then by value."""
+    limit = 1 << n
+    for k in range(1, n + 1):
+        mask = (1 << k) - 1
+        while mask < limit:
+            yield mask
+            mask = next_same_popcount(mask)
+
+
+def _peeled_vertices(masks: list[int], n: int) -> int:
+    """Drop every vertex on fewer than two edges that meet the remaining
+    set in two or more vertices, until nothing drops."""
+    alive = (1 << n) - 1
+    while True:
+        once = twice = 0
+        for m in masks:
+            t = m & alive
+            if t.bit_count() >= 2:
+                twice |= once & t
+                once |= t
+        if twice == alive:
+            return alive
+        alive = twice
+
+
+def _nullspace(columns: list[int]) -> list[int]:
+    """GF(2) nullspace basis of int column vectors, by elimination on the
+    highest bit in column order (the order of F within a U follows it)."""
+    pivots: dict[int, tuple[int, int]] = {}
+    basis = []
+    for j, vec in enumerate(columns):
+        combo = 1 << j
+        while vec:
+            lead = vec.bit_length() - 1
+            if lead not in pivots:
+                pivots[lead] = (vec, combo)
+                break
+            vec ^= pivots[lead][0]
+            combo ^= pivots[lead][1]
+        else:
+            basis.append(combo)
+    return basis
+
+
+def eulerian_selections_per_u(masks: list[int], n_vertices: int, peel: bool = True,
+                              top: int | None = None):
+    """(U, F) masks of the Eulerian walk, testing one vertex set U at a time.
+
+    U runs over the subsets of the peeled vertices (all vertices without
+    `peel`) by popcount, then value, up to `top` vertices if given.  The
+    candidates are the edges with an even, nonempty trace on U; with `peel`
+    a U with a vertex on fewer than two of them is skipped.  F runs over
+    the nonzero combinations of the candidates' nullspace basis, by
+    combination index.
+    """
+    core = _peeled_vertices(masks, n_vertices) if peel else (1 << n_vertices) - 1
+    verts = [v for v in range(n_vertices) if core >> v & 1]
+    for c in masks_by_size_then_value(len(verts)):
+        if top is not None and c.bit_count() > top:
+            return
+        umask = sum(1 << v for i, v in enumerate(verts) if c >> i & 1)
+        cand = [(eid, t) for eid, m in enumerate(masks)
+                if (t := m & umask) and t.bit_count() % 2 == 0]
+        if peel:
+            covered = [sum(1 for _, t in cand if t >> v & 1) for v in verts if umask >> v & 1]
+            if min(covered, default=0) < 2:
+                continue
+        basis = _nullspace([t for _, t in cand])
+        for bits in range(1, 1 << len(basis)):
+            combo = 0
+            for k, b in enumerate(basis):
+                if bits >> k & 1:
+                    combo ^= b
+            yield umask, sum(1 << eid for i, (eid, _) in enumerate(cand) if combo >> i & 1)

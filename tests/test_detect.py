@@ -352,10 +352,11 @@ def test_a_host_of_the_other_type_is_an_input_error():
     for run, host in ((decide_unimodular_disjoint, fig5), (find_odd_cycle, fig5),
                       (find_odd_tree_house, fig5), (decide_unimodular_mixed_disjoint, fig1),
                       (find_mixed_odd_cycle, fig1), (find_mixed_odd_tree_house, fig1),
-                      (shortest_odd_cycles, fig5)):
+                      (shortest_odd_cycles, fig5), (decide_unimodular_disjoint, [])):
         with pytest.raises(InputError, match="expected a"):
             run(host)
-    for doc in ([], {"kind": []}):  # a list for the certificate, a list for its kind
+    for doc in ([], {"kind": []},  # a list for the certificate, a list for its kind
+                {"kind": "odd-cycle", "vertices": [[1]], "edge_ids": [0]}):  # unhashable vertex
         with pytest.raises(InputError):
             witness_from_dict(fig1, doc)
 

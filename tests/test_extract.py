@@ -1,11 +1,13 @@
 import random
+import time
+import tracemalloc
 
 import pytest
 
 from tuhyper import core, detect, linalg
 from tuhyper.core import Hypergraph
 from tuhyper.detect import OddCycleWitness, OddTreeHouseWitness, verify_witness
-from tuhyper.errors import PreconditionError, SizeGuardError
+from tuhyper.errors import InputError, PreconditionError, SizeGuardError
 from tuhyper.extract import (
     NiceCycle,
     _assert_candidate,
@@ -20,6 +22,8 @@ from tuhyper.extract import (
     extract_witness,
 )
 from tuhyper.gen import GenConfig, generate
+
+from _hosts import bipartite_with_c9
 
 
 def test_extract_fig1_yields_tree_house():
@@ -66,6 +70,24 @@ def test_extract_planted_odd_cycle_with_a_pendant_tree_past_sixteen_vertices():
     assert verify_witness(g, res.witness)
 
 
+def test_extract_past_the_subset_table_in_bounded_time_and_memory():
+    # |P| = 24: the walk unranks its blocks, where a table of all 2^24
+    # subsets would take 128 MB, and it tests about 2.4 million vertex sets
+    g = bipartite_with_c9()
+    assert linalg._core_vertices(g.edge_masks, g.n_vertices).bit_count() == 24
+    tracemalloc.start()
+    try:
+        t0 = time.perf_counter()
+        res = extract_witness(g, max_vertices=32)
+        elapsed = time.perf_counter() - t0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert isinstance(res.witness, OddCycleWitness)
+    assert sorted(g.names[v] for v in res.witness.vertices) == [f"c{i}" for i in range(9)]
+    assert elapsed < 8 and peak < 16 * 2**20, (elapsed, peak)
+
+
 def test_size_guard_names_the_peeled_vertex_count():
     # a 17-cycle survives peeling whole; its three pendant vertices do not
     names = [f"c{i}" for i in range(17)] + ["p0", "p1", "p2"]
@@ -85,6 +107,12 @@ def test_extract_rejects_tu_input():
 def test_extract_rejects_non_disjoint():
     with pytest.raises(PreconditionError):
         extract_witness(core.fixture("fig2"))
+
+
+def test_extract_rejects_a_mixed_host():
+    for run in (find_eulerian_core, extract_witness):
+        with pytest.raises(InputError, match="expected a Hypergraph"):
+            run(core.fixture("fig5"))
 
 
 def test_eulerian_core_of_fig1_is_fig1():

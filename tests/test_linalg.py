@@ -1,6 +1,6 @@
-import functools
 import itertools
 import math
+import random
 
 import numpy as np
 import pytest
@@ -10,7 +10,8 @@ from tuhyper.errors import InputError, PreconditionError, SizeGuardError
 from tuhyper.extract import find_eulerian_core
 from tuhyper.gen import GenConfig, Xoshiro256StarStar, generate
 
-from _oracles import delta_exhaustive, det_cofactor, is_tu_cofactor
+from _oracles import (delta_exhaustive, det_cofactor, eulerian_selections_per_u, is_tu_cofactor,
+                      masks_by_size_then_value, next_same_popcount)
 
 
 def test_det_exact_fixture_values():
@@ -31,6 +32,16 @@ def test_det_exact_rejects_non_square():
     for cap in (0, -3):
         with pytest.raises(InputError, match="cap"):
             linalg.max_abs_subdet(core.incidence_matrix(core.fixture("fig1")), cap=cap)
+    for run in (linalg.det_exact, linalg.max_abs_subdet):
+        with pytest.raises(InputError):
+            run([[1, 2], [3]])  # ragged rows
+
+
+def test_camion_rejects_a_host_of_the_other_type():
+    with pytest.raises(InputError, match="expected a Hypergraph"):
+        linalg.camion_unimodular(core.fixture("fig5"))
+    with pytest.raises(InputError, match="expected a MixedHypergraph"):
+        linalg.camion_unimodular_mixed(core.fixture("fig1"))
 
 
 def test_det_exact_matches_cofactor_on_randoms():
@@ -205,9 +216,69 @@ def test_camion_mixed_agrees_with_bruteforce_small_corpus():
 
 
 def test_subset_masks_come_by_size_then_value():
-    for n in range(13):
-        want = sorted(range(1, 1 << n), key=lambda m: (bin(m).count("1"), m))
-        assert list(linalg._masks_by_size_then_value(n)) == want
+    # blocks of 64, 128, ... up to 2,048 masks: slices of one table across
+    # popcounts up to 16 bits, one popcount per block above
+    for n in list(range(13)) + [16, 17, 18]:
+        blocks = [b.tolist() for b in linalg._mask_blocks(n)]
+        assert [m for b in blocks for m in b] == list(masks_by_size_then_value(n)), n
+        for i, b in enumerate(blocks):
+            last = i + 1 == len(blocks)
+            if n > 16:
+                assert len({m.bit_count() for m in b}) == 1
+                last = last or blocks[i + 1][0].bit_count() != b[0].bit_count()
+            assert len(b) == min(64 << i, 2048) or last and len(b) < min(64 << i, 2048), (n, i)
+    # colex unranking up to 63 bits: runs of consecutive masks of one popcount
+    for n, k, start in ((24, 9, 0), (40, 20, 10**10), (63, 31, 3 * 10**17), (63, 62, 0)):
+        got = linalg._unrank(n, k, start, min(start + 64, math.comb(n, k))).tolist()
+        assert all(m.bit_count() == k and m < 1 << n for m in got)
+        assert all(next_same_popcount(a) == b for a, b in zip(got, got[1:]))
+    full = (1 << 63) - 1
+    assert linalg._unrank(63, 62, 0, 63).tolist() == [full ^ 1 << j for j in range(62, -1, -1)]
+    assert linalg._unrank(63, 63, 0, 1).tolist() == [full]
+    assert linalg._unrank(40, 20, 0, 1).tolist() == [(1 << 20) - 1]
+    assert linalg._unrank(40, 20, math.comb(40, 20) - 1, math.comb(40, 20)).tolist() == [
+        (1 << 40) - (1 << 20)]
+
+
+def _walk_host(seed):
+    """Edge masks of a seeded host of `seed % 19` vertices, dense enough
+    that peeling often keeps most of them."""
+    rng = random.Random(seed)
+    n = seed % 19
+    masks = []
+    for _ in range(rng.randrange(n // 2 + 1, 2 * n + 2)):
+        size = min(n, rng.choice((1, 2, 2, 2, 3, 3, 4)))
+        masks.append(sum(1 << v for v in rng.sample(range(n), size)))
+    return masks, n
+
+
+def test_block_walk_matches_the_per_u_reference():
+    # Whole walks up to 13 vertices cross the block boundaries at 64 and at
+    # the cap (the first block of 2,048 follows 1,984 sets); above, the
+    # walks stop after |U| = 4, past the boundaries of the first layers'
+    # blocks (17 + 136 + 680 + 2,380 sets at 17 vertices).  A dense host
+    # yields millions of selections, so each comparison stops at 20,000.
+    peeled_sizes = set()
+    whole = 0
+    for seed in range(400):
+        masks, n = _walk_host(seed)
+        peel = seed % 38 < 19
+        top = n if n <= 13 else 4
+        small = lambda sel: sel[0].bit_count() <= top
+        got = list(itertools.islice(itertools.takewhile(
+            small, linalg._eulerian_selections(masks, n, 18, peel)), 20_000))
+        want = list(itertools.islice(eulerian_selections_per_u(masks, n, peel, top), 20_000))
+        assert got == want, seed
+        whole += 12 <= n == top and len(want) < 20_000
+        if peel:
+            peeled_sizes.add(linalg._core_vertices(masks, n).bit_count())
+    assert whole >= 20 and peeled_sizes >= {0, 3, 8, 12, 16, 17, 18}
+
+
+def test_walk_refuses_more_than_63_vertices_at_any_guard():
+    masks = [1 << i | 1 << (i + 1) % 64 for i in range(64)]  # C64 survives peeling
+    with pytest.raises(SizeGuardError, match="64 vertices left by peeling > 63"):
+        next(linalg._eulerian_selections(masks, 64, 100))
 
 
 def _random_matrix(rng, rows, cols, lo, hi):
@@ -305,36 +376,13 @@ def test_large_entries_are_exact_or_refused():
     assert exact > 10 and refused > 10
 
 
-@functools.lru_cache(maxsize=None)
-def _by_size_then_value(n):
-    return sorted(range(1, 1 << n), key=lambda m: (bin(m).count("1"), m))
-
-
-def _reference_selections(masks, n):
-    """(U, F) masks in the unpeeled order: every nonempty U by popcount,
-    then value; per U, the nonzero combinations of the GF(2) nullspace
-    basis of the edges with even, nonempty trace on U."""
-    for umask in _by_size_then_value(n):
-        cand = [(eid, t) for eid, m in enumerate(masks)
-                if (t := m & umask) and t.bit_count() % 2 == 0]
-        if len(cand) < 2:
-            continue
-        basis = linalg._gf2_nullspace([t for _, t in cand])
-        for bits in range(1, 1 << len(basis)):
-            combo = 0
-            for k, b in enumerate(basis):
-                if bits >> k & 1:
-                    combo ^= b
-            yield umask, sum(1 << eid for i, (eid, _) in enumerate(cand) if combo >> i & 1)
-
-
 def _reference_core_and_camion(g):
     """(vmap, emap) of the first covering Eulerian selection with |U| = |F|
     and support 2 mod 4, and (U, F, support) of the first one with support
     not divisible by four; None where there is none."""
     masks = g.edge_masks
     core_sel = camion = None
-    for umask, fmask in _reference_selections(masks, g.n_vertices):
+    for umask, fmask in eulerian_selections_per_u(masks, g.n_vertices, peel=False):
         fs = [e for e in range(len(masks)) if fmask >> e & 1]
         supp = sum((masks[e] & umask).bit_count() for e in fs)
         covered = 0

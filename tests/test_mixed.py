@@ -194,6 +194,14 @@ def test_normalize_rejects_odd_support_mix():
         normalize_to_hypergraph(d)
     with pytest.raises(InputError, match="missing field 'vertex'"):
         replay(d, [{"op": "negate_row"}])
+    with pytest.raises(InputError, match="not an object"):
+        replay(d, [[]])
+
+
+def test_unsigned_hosts_are_input_errors():
+    for run in (normalize_to_hypergraph, even_cycle_nullvector):
+        with pytest.raises(InputError, match="expected a MixedHypergraph"):
+            run(core.fixture("fig1"))
 
 
 def test_nullvector_examples():
