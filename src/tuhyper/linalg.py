@@ -5,7 +5,8 @@ support counts of Eulerian partial subhypergraphs.
 Everything here is exact.  Single determinants use fraction-free elimination
 over Python integers (no overflow ever).  Enumerations of all minors build
 order k from order k - 1 by Laplace expansion over row and column subsets,
-in int64 under a checked Hadamard bound.
+in the narrowest signed integer type that a checked Hadamard bound allows
+(int8 or int16 for graph incidence matrices, int64 at most).
 """
 
 from __future__ import annotations
@@ -38,12 +39,35 @@ __all__ = [
 DEFAULT_MAX_DIMENSION_SUM = 22
 
 
+def _integer_entries(m, shape_error: str) -> np.ndarray:
+    """m as an array whose entries are all integers: int or bool entries, or
+    floats with integral values.  Anything else raises InputError, so that
+    no entry is truncated or parsed into a number."""
+    try:
+        a = np.asarray(m)
+    except ValueError:  # ragged rows
+        raise InputError(shape_error) from None
+    if a.dtype.kind == "O":
+        whole = all(isinstance(x, (int, np.integer, np.bool_))
+                    or isinstance(x, (float, np.floating)) and float(x).is_integer()
+                    for x in a.flat)
+    else:
+        whole = a.dtype.kind in "biu" or a.dtype.kind == "f" and bool(
+            np.isfinite(a).all() and (a == np.trunc(a)).all())
+    if not whole:
+        raise InputError(f"expected integer entries, got a matrix of {a.dtype}")
+    return a
+
+
+def _positive_int(value, name: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise InputError(f"{name} must be a positive integer, got {value!r}")
+    return int(value)
+
+
 def det_exact(m) -> int:
     """Exact determinant via fraction-free elimination on Python integers."""
-    try:
-        m = np.asarray(m)
-    except ValueError:  # ragged rows
-        raise InputError("det_exact expects a square matrix") from None
+    m = _integer_entries(m, "det_exact expects a square matrix")
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise InputError("det_exact expects a square matrix")
     a = [[int(x) for x in row] for row in m]
@@ -84,10 +108,11 @@ def batch_det_exact(mats: np.ndarray) -> np.ndarray:
     2^62 (a factor of two below 2^63 for the rounding of the floats) raises
     SizeGuardError.
     """
-    a = np.array(mats, dtype=np.int64, copy=True)
-    b, n, n2 = a.shape
-    if n != n2:
-        raise InputError("batch_det_exact expects square matrices")
+    shape_error = "batch_det_exact expects a stack of square matrices"
+    a = np.array(_integer_entries(mats, shape_error), dtype=np.int64, copy=True)
+    if a.ndim != 3 or a.shape[1] != a.shape[2]:
+        raise InputError(shape_error)
+    b, n, _ = a.shape
     if n == 0:
         return np.ones(b, dtype=np.int64)
     if any(2.0 * _hadamard_bound(x) ** 2 >= 2.0**62 for x in a.astype(np.float64)):
@@ -117,11 +142,10 @@ def batch_det_exact(mats: np.ndarray) -> np.ndarray:
 
 
 def _check_guard(m, max_dimension_sum: int) -> np.ndarray:
-    """m as an int64 matrix, once it is one and small enough to enumerate."""
-    try:
-        m = np.asarray(m, dtype=np.int64)
-    except (TypeError, ValueError) as exc:  # ragged rows or non-integer entries
-        raise InputError(f"expected an integer matrix: {exc}") from None
+    """m as an integer matrix in the narrowest signed type that keeps
+    `_minors` exact, once it is one and small enough to enumerate."""
+    max_dimension_sum = _positive_int(max_dimension_sum, "max_dimension_sum")
+    m = _integer_entries(m, "expected an integer matrix with rows of equal length")
     if m.ndim != 2:
         raise InputError(f"expected a two-dimensional matrix, got {m.ndim} dimensions")
     rows, cols = m.shape
@@ -130,15 +154,19 @@ def _check_guard(m, max_dimension_sum: int) -> np.ndarray:
             f"desk-scale exceeded: matrix has rows+cols = {rows + cols} > "
             f"{max_dimension_sum}; raise max_dimension_sum to force the enumeration"
         )
-    # int64 exactness of `_minors`: every minor of every order is at most the
+    # Exactness of `_minors`: every minor of every order is at most the
     # Hadamard bound H.  One step of the recurrence adds the terms
     # +-m[r, c] * minor over rows r of one column c, so every term and every
-    # partial sum is at most ||col c||_1 * H.  Keeping that product below
-    # 2^62 leaves a factor of two below 2^63 for the rounding of the floats.
-    a = np.abs(np.asarray(m, dtype=np.float64))
-    if _hadamard_bound(a) * a.sum(axis=0).max(initial=1.0) >= 2.0**62:
+    # partial sum is at most B = ||col c||_1 * H.  The type holds +-2B, a
+    # factor of two for the rounding of the floats; B < 2^62 fits int64.
+    try:
+        a = np.abs(m.astype(np.float64))
+    except OverflowError:  # a Python integer beyond the float range
+        raise SizeGuardError("entries too large for exact int64 enumeration") from None
+    bound = _hadamard_bound(a) * a.sum(axis=0).max(initial=1.0)
+    if bound >= 2.0**62:
         raise SizeGuardError("entries too large for exact int64 enumeration")
-    return m
+    return m.astype(np.min_scalar_type(-2 * math.ceil(bound) - 1))
 
 
 @functools.lru_cache(maxsize=256)
@@ -180,16 +208,16 @@ def _minors(m: np.ndarray, top: int):
     is the canonical (lexicographic rows, then columns) witness.  Order k
     comes from order k - 1 by Laplace expansion along the largest selected
     column c:  det(R, C) = sum_i (-1)^(i + k - 1) m[R_i, c] det(R - R_i, C - c),
-    k multiply-adds on whole arrays per order.  `_check_guard` keeps it
-    exact in int64.
+    k multiply-adds on whole arrays per order, all in m's dtype, which
+    `_check_guard` chose so that no product or partial sum overflows.
     """
-    prev = np.ones((1, 1), dtype=np.int64)
+    prev = np.ones((1, 1), dtype=m.dtype)
     for k in range(1, top + 1):
         rows, drop = _subsets(m.shape[0], k)
         cols, col_drop = _subsets(m.shape[1], k)
         sub = prev[:, col_drop[k - 1]]  # minors without the largest column
         last = m[:, cols[:, -1]]  # entries of the largest column
-        dets = np.zeros((len(rows), len(cols)), dtype=np.int64)
+        dets = np.zeros((len(rows), len(cols)), dtype=m.dtype)
         for i in range(k):
             term = last[rows[:, i]] * sub[drop[i]]
             if (i + k - 1) % 2:
@@ -217,8 +245,8 @@ def max_abs_subdet(m, cap: int | None = None,
     witness is the first submatrix achieving the maximum in that order, so
     results are reproducible.
     """
-    if cap is not None and cap < 1:
-        raise InputError(f"cap must be a positive submatrix order, got {cap}")
+    if cap is not None:
+        cap = _positive_int(cap, "cap")
     m = _check_guard(m, max_dimension_sum)
     best = DeltaResult(0, (), ())
     top = min(m.shape)

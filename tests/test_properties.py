@@ -1,7 +1,8 @@
 """Property tests over seeded disjoint hosts: the decision does not depend on
 how vertices and edges are numbered, nor on row and column signs of a mixed
-host, nor on the absence proof that can end the odd-cycle passes early, and
-every witness survives a round trip through JSON."""
+host, nor on the absence proof that can end the odd-cycle passes early; a
+duplicated edge changes neither the decision nor Delta; and every witness
+survives a round trip through JSON."""
 
 import json
 from unittest import mock
@@ -9,7 +10,7 @@ from unittest import mock
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from tuhyper import core, detect
+from tuhyper import core, detect, linalg
 from tuhyper.errors import InputError
 from tuhyper.gen import GenConfig, Plant, generate
 from tuhyper.mixed import negate_column, negate_row
@@ -73,6 +74,27 @@ def test_mixed_decision_is_invariant_under_row_and_column_negation(data):
     for a in cols:
         negated = negate_column(negated, a)
     assert _verdict(negated) == _verdict(d)
+
+
+@BOUNDED
+@given(data=st.data())
+def test_a_duplicated_edge_changes_neither_delta_nor_the_decision(data):
+    # Two equal columns make every square submatrix holding both singular.
+    # Duplicating an edge of three or more vertices makes the host overlap,
+    # so the twin's decision then comes from the brute force.
+    host = data.draw(disjoint_hosts())
+    doc = core.instance_to_dict(host)
+    members = "arcs" if "arcs" in doc else "edges"
+    n = len(doc[members])
+    assume(0 < n and host.n_vertices + n < linalg.DEFAULT_MAX_DIMENSION_SUM)
+    e = data.draw(st.integers(0, n - 1))
+    twin = core.load_instance({**doc, members: doc[members] + [doc[members][e]]})
+    m, m2 = core.incidence_matrix(host), core.incidence_matrix(twin)
+    assert linalg.max_abs_subdet(m2) == linalg.max_abs_subdet(m)
+    tu = _verdict(host)
+    assert linalg.is_tu_bruteforce(m2) == tu
+    if core.is_disjoint(twin):
+        assert _verdict(twin) == tu
 
 
 @BOUNDED
