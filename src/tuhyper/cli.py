@@ -53,8 +53,8 @@ def _read_json(path: str):
 
 def _load(path: str):
     doc = _read_json(path)
-    # the library trusts the shape of its input; a document of the wrong
-    # shape surfaces here as a Python type or value error
+    # load_instance raises InputError for every malformed document known;
+    # this catch is a safety net, so that one it misses still exits 2
     try:
         return core.load_instance(doc)
     except (TypeError, AttributeError, ValueError) as exc:

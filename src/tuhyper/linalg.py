@@ -92,53 +92,36 @@ def det_exact(m) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def _hadamard_bound(a: np.ndarray) -> float:
-    """Bound on |every minor| of a float matrix: the product of its
-    min(rows, cols) largest column norms, each taken as at least 1."""
+def _hadamard_bound(a: np.ndarray, order: int) -> float:
+    """Bound on |every minor| of order at most `order` of a float matrix: the
+    product of its `order` largest column norms, each taken as at least 1."""
     norms = np.sqrt((a * a).sum(axis=0))
-    return np.prod(np.sort(norms)[::-1][: min(a.shape)].clip(min=1.0))
+    return np.prod(np.sort(norms)[::-1][:order].clip(min=1.0))
+
+
+def _floats(m: np.ndarray, what: str) -> np.ndarray:
+    """|m| as floats; an entry beyond the float range raises SizeGuardError."""
+    try:
+        return np.abs(m.astype(np.float64))
+    except OverflowError:  # a Python integer beyond the float range
+        raise SizeGuardError(f"entries too large for exact int64 {what}") from None
 
 
 def batch_det_exact(mats: np.ndarray) -> np.ndarray:
-    """Exact determinants of a stack of small integer matrices.
+    """Exact determinants of a stack of small integer matrices, as int64.
 
-    Fraction-free elimination in int64.  Entries are minors of the input,
-    but each step multiplies two of them before the exact division, so a
-    stack where twice the square of some matrix's Hadamard bound reaches
-    2^62 (a factor of two below 2^63 for the rounding of the floats) raises
-    SizeGuardError.
+    Each is `det_exact` of one matrix.  A stack where twice the square of
+    some matrix's Hadamard bound reaches 2^62, or an entry passes the float
+    range, raises SizeGuardError, so every determinant fits in int64.
     """
     shape_error = "batch_det_exact expects a stack of square matrices"
-    a = np.array(_integer_entries(mats, shape_error), dtype=np.int64, copy=True)
+    a = _integer_entries(mats, shape_error)
     if a.ndim != 3 or a.shape[1] != a.shape[2]:
         raise InputError(shape_error)
-    b, n, _ = a.shape
-    if n == 0:
-        return np.ones(b, dtype=np.int64)
-    if any(2.0 * _hadamard_bound(x) ** 2 >= 2.0**62 for x in a.astype(np.float64)):
+    if any(2.0 * _hadamard_bound(x, a.shape[1]) ** 2 >= 2.0**62
+           for x in _floats(a, "elimination")):
         raise SizeGuardError("entries too large for exact int64 elimination")
-    sign = np.ones(b, dtype=np.int64)
-    prev = np.ones(b, dtype=np.int64)
-    alive = np.ones(b, dtype=bool)
-    for i in range(n):
-        nz = a[:, i:, i] != 0
-        alive &= nz.any(axis=1)
-        rel = nz.argmax(axis=1)
-        need = np.nonzero(alive & (rel > 0))[0]
-        if need.size:
-            j = rel[need] + i
-            tmp = a[need, j].copy()
-            a[need, j] = a[need, i]
-            a[need, i] = tmp
-            sign[need] = -sign[need]
-        if i < n - 1:
-            pivot = np.where(alive, a[:, i, i], 1)
-            a[:, i + 1 :, i + 1 :] = (
-                a[:, i + 1 :, i + 1 :] * pivot[:, None, None]
-                - a[:, i + 1 :, i, None] * a[:, i, None, i + 1 :]
-            ) // prev[:, None, None]
-            prev = pivot
-    return np.where(alive, sign * a[:, n - 1, n - 1], 0)
+    return np.array([det_exact(x) for x in a], dtype=np.int64)
 
 
 def _check_guard(m, max_dimension_sum: int) -> np.ndarray:
@@ -154,16 +137,14 @@ def _check_guard(m, max_dimension_sum: int) -> np.ndarray:
             f"desk-scale exceeded: matrix has rows+cols = {rows + cols} > "
             f"{max_dimension_sum}; raise max_dimension_sum to force the enumeration"
         )
-    # Exactness of `_minors`: every minor of every order is at most the
-    # Hadamard bound H.  One step of the recurrence adds the terms
-    # +-m[r, c] * minor over rows r of one column c, so every term and every
-    # partial sum is at most B = ||col c||_1 * H.  The type holds +-2B, a
-    # factor of two for the rounding of the floats; B < 2^62 fits int64.
-    try:
-        a = np.abs(m.astype(np.float64))
-    except OverflowError:  # a Python integer beyond the float range
-        raise SizeGuardError("entries too large for exact int64 enumeration") from None
-    bound = _hadamard_bound(a) * a.sum(axis=0).max(initial=1.0)
+    # Exactness of `_minors`: order j of the recurrence adds the terms
+    # +-m[r, c] * minor over rows r of one column c, each minor of order
+    # j - 1 <= k - 1 (k = min(rows, cols)) and so at most the Hadamard bound
+    # H of order k - 1.  Every term, partial sum and minor is then at most
+    # B = ||col c||_1 * H.  The type holds +-2B, a factor of two for the
+    # rounding of the floats; B < 2^62 fits int64.
+    a = _floats(m, "enumeration")
+    bound = _hadamard_bound(a, max(min(rows, cols) - 1, 0)) * a.sum(axis=0).max(initial=1.0)
     if bound >= 2.0**62:
         raise SizeGuardError("entries too large for exact int64 enumeration")
     return m.astype(np.min_scalar_type(-2 * math.ceil(bound) - 1))
@@ -285,17 +266,15 @@ def is_almost_tu(m, max_dimension_sum: int = DEFAULT_MAX_DIMENSION_SUM) -> bool:
 
     A violating submatrix of a non-square matrix is always proper, so only
     square matrices can be almost TU: the whole matrix must be the unique
-    violation.
+    violation.  As `tu_violation` scans by ascending order, that holds iff
+    the first violation it finds is the whole matrix.
     """
     m = _check_guard(m, max_dimension_sum)
     rows, cols = m.shape
     if rows != cols or rows == 0:
         return False
-    for order, (_, _, dets) in enumerate(_minors(m, rows), start=1):
-        if order == rows:
-            return abs(int(dets[0, 0])) >= 2
-        if (np.abs(dets) >= 2).any():
-            return False
+    first = tu_violation(m, max_dimension_sum)
+    return first is not None and len(first[0]) == rows
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +299,9 @@ class CamionResult:
 # The walk filters vertex sets a block at a time.  Blocks grow from the first
 # size to the cap, so a walk that stops at a small |U| pays for one or two.
 _FIRST_BLOCK, _BLOCK_CAP = 64, 2048
-_TABLE_BITS = 16  # up to this |P| the blocks are slices of one cached table
+# Up to _TABLE_BITS the blocks are slices of one cached table: unranking every
+# block, with blocks spanning popcounts, made extract-witness 1.7x slower.
+_TABLE_BITS = 16
 _MAX_WALK_BITS = 63  # subset masks are int64
 
 
@@ -431,14 +412,6 @@ def _core_vertices(masks: list[int], n: int) -> int:
         alive = twice
 
 
-def _subset_masks(vertices: list[int]) -> list[int]:
-    """table[c] is the vertex mask of {vertices[i] : bit i of c is set}."""
-    table = [0]
-    for v in vertices:
-        table += [m | 1 << v for m in table]
-    return table
-
-
 def _eulerian_selections(masks: list[int], n_vertices: int, guard: int,
                          peel: bool = True):
     """Yield (umask, edge_subset_mask) for Eulerian selections, smallest U first.
@@ -476,12 +449,10 @@ def _eulerian_selections(masks: list[int], n_vertices: int, guard: int,
     eids = [eid for eid, m in enumerate(masks) if (m & core).bit_count() >= 2]
     if not eids:
         return
-    # The walk runs over the subsets c of range(|P|) and deposits bit i of c
-    # on vertex verts[i], which keeps their order: one table per byte of c
-    # makes each deposit a lookup per byte.  comp holds the edges compressed
-    # the same way.  Compressing keeps the order of the bits, so the
-    # nullspace of the compressed traces has the same basis.
-    deposit = [(i, _subset_masks(verts[i:i + 8])) for i in range(0, len(verts), 8)]
+    # The walk runs over the subsets c of range(|P|), bit i of c standing for
+    # vertex verts[i], which keeps their order.  comp holds the edges
+    # compressed the same way.  Compressing keeps the order of the bits, so
+    # the nullspace of the compressed traces has the same basis.
     comp = np.array([sum(1 << i for i, v in enumerate(verts) if masks[e] >> v & 1)
                      for e in eids], dtype=np.int64)
     for block in _mask_blocks(len(verts)):
@@ -494,9 +465,7 @@ def _eulerian_selections(masks: list[int], n_vertices: int, guard: int,
         else:
             keep = np.flatnonzero(traces.any(axis=0))
         for c, col in zip(block[keep].tolist(), traces[:, keep].T.tolist()):
-            umask = 0
-            for shift, table in deposit:
-                umask |= table[c >> shift & 255]
+            umask = sum(1 << verts[i] for i in _bits(c))
             cand = [(eids[i], t) for i, t in enumerate(col) if t]
             basis = _gf2_nullspace([t for _, t in cand])
             # moving candidate bits onto their distinct edge ids is linear

@@ -104,11 +104,18 @@ def test_batch_det_matches_det_exact():
         got = linalg.batch_det_exact(mats)
         want = [det_cofactor(m) for m in mats]
         assert got.tolist() == want
+    for empty, want in ((np.zeros((3, 0, 0), dtype=int), [1, 1, 1]),
+                        (np.zeros((0, 2, 2), dtype=int), [])):
+        got = linalg.batch_det_exact(empty)
+        assert got.dtype == np.int64 and got.tolist() == want
+    with pytest.raises(InputError, match="stack of square matrices"):
+        linalg.batch_det_exact(np.eye(2, dtype=int))
 
 
 def test_batch_det_is_exact_or_refused():
-    # each elimination step multiplies two minors in int64: a matrix whose
-    # Hadamard bound H has 2 H^2 near or past 2^63 must be refused, not wrapped
+    # the determinants come back in int64: a matrix whose Hadamard bound H
+    # has 2 H^2 near or past 2^63 must be refused, not wrapped, and so must
+    # an entry beyond the float range
     rng = Xoshiro256StarStar(66)
     exact = refused = 0
     for _ in range(300):
@@ -123,6 +130,9 @@ def test_batch_det_is_exact_or_refused():
         exact += 1
         assert int(got[0]) == linalg.det_exact(m), m
     assert exact > 50 and refused > 50
+    for big in (2**70, 10**400):
+        with pytest.raises(SizeGuardError):
+            linalg.batch_det_exact(np.array([[[big]]], dtype=object))
 
 
 def test_max_abs_subdet_examples():
@@ -410,6 +420,11 @@ def test_large_entries_are_exact_or_refused():
                                                 if abs(d) == delta)
         assert violation == next(((rs, cs, d) for rs, cs, d in minors if abs(d) >= 2), None)
     assert exact > 10 and refused > 10
+    # the guard bounds order k by minors of order k - 1: a 1 x 1 matrix is
+    # its entry, and a 2 x 2 one needs only the products of two entries
+    for m, delta in ((np.array([[2**31]]), 2**31),
+                     (np.array([[2**30, 1], [1, 2**30]]), 2**60 - 1)):
+        assert linalg.max_abs_subdet(m).delta == linalg.det_exact(m) == delta
 
 
 def _enumeration_type(m):
@@ -432,9 +447,9 @@ def _assert_matches_the_oracle(m):
 
 def test_enumeration_is_exact_on_both_sides_of_each_type_switch():
     # Scaling a matrix by s multiplies the guard's bound B by s^(j + 1), j its
-    # nonzero columns among the largest min(rows, cols), so the least s whose B
-    # needs the wider type and s - 1 sit on the two sides of a switch.  The
-    # Sylvester matrices have minors as large as the Hadamard bound.
+    # nonzero columns among the largest min(rows, cols) - 1, so the least s
+    # whose B needs the wider type and s - 1 sit on the two sides of a switch.
+    # The Sylvester matrices have minors as large as the Hadamard bound.
     h2 = np.array([[1, 1], [1, -1]])
     rng = Xoshiro256StarStar(65)
     bases = [h2, np.kron(h2, h2), np.kron(h2, h2)[:3]]
@@ -463,14 +478,15 @@ def test_enumeration_is_exact_on_both_sides_of_each_type_switch():
 
 def test_graph_matrices_enumerate_in_at_most_16_bits():
     # criterion 8's corpus: an edge column has 1-norm 2 and Euclidean norm
-    # sqrt 2, so B = 2^(1 + k/2) <= 2^6.5 for k = min(rows, cols) <= 11
+    # sqrt 2, so B = 2^(1 + (k - 1)/2) <= 2^5.5 for k = min(rows, cols) <= 10
+    # rows, and 2B < 127 fits int8
     widths = set()
     for seed in range(300):
         g, _ = generate(GenConfig(seed=300_000 + seed, n_vertices=4 + seed % 7,
                                   n_small_edges=3 + (seed * 3) % 10, proper_edge_sizes=()))
         if g.n_vertices + g.n_edges <= linalg.DEFAULT_MAX_DIMENSION_SUM:
             widths.add(_enumeration_type(core.incidence_matrix(g)).itemsize)
-    assert widths == {1, 2}
+    assert widths == {1}
 
 
 def test_delta_at_the_default_guard_is_fast_and_small():
