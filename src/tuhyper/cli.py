@@ -53,6 +53,8 @@ def _read_json(path: str):
 
 def _load(path: str):
     doc = _read_json(path)
+    if not isinstance(doc, dict):  # load_instance would read a JSON string as a path
+        raise InputError(f"{path}: instance document must be a JSON object")
     # load_instance raises InputError for every malformed document known;
     # this catch is a safety net, so that one it misses still exits 2
     try:

@@ -67,6 +67,28 @@ def _expect(g, kind: type) -> None:
         raise InputError(f"expected a {kind.__name__}, got {type(g).__name__}")
 
 
+def _unite(up: list[int], flip: list[int], size: list[int], a: int, b: int, par: int) -> bool:
+    """Record sign(a) ^ sign(b) == par in a parity union-find (union by
+    size, `flip[v]` the sign of v against `up[v]`); False if that
+    contradicts what it holds, that is, closes a cycle of odd parity.
+
+    Uniting every edge of a signed graph this way is Harary's balance test
+    (1953): the graph is balanced iff no edge returns False."""
+    while up[a] != a:
+        par ^= flip[a]
+        a = up[a]
+    while up[b] != b:
+        par ^= flip[b]
+        b = up[b]
+    if a == b:
+        return par == 0
+    if size[a] < size[b]:
+        a, b = b, a
+    up[b], flip[b] = a, par
+    size[a] += size[b]
+    return True
+
+
 # Host-name accessors, bound in both host classes.  A shared base class
 # would say this once too, but cost decide-corpus about 10 % when measured.
 def _n_vertices(g) -> int:

@@ -38,7 +38,7 @@ import itertools
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .core import Hypergraph, MixedHypergraph, _bits, overlapping_proper_edges
+from .core import Hypergraph, MixedHypergraph, _bits, _unite, overlapping_proper_edges
 from .errors import (
     BudgetExceededError,
     InputError,
@@ -430,25 +430,6 @@ def _arc(sys: _System, eid: int, pair: int):
     """(pair, a, b, parity) for the vertex pair `pair` of edge eid."""
     a, b = (pair & -pair).bit_length() - 1, pair.bit_length() - 1
     return pair, a, b, sys.pair_parity(eid, a, b)
-
-
-def _unite(up: list[int], flip: list[int], size: list[int], a: int, b: int, par: int) -> bool:
-    """Record sign(a) ^ sign(b) == par in a parity union-find (union by
-    size, `flip[v]` the sign of v against `up[v]`); False if that
-    contradicts what it holds, that is, closes a cycle of odd parity."""
-    while up[a] != a:
-        par ^= flip[a]
-        a = up[a]
-    while up[b] != b:
-        par ^= flip[b]
-        b = up[b]
-    if a == b:
-        return par == 0
-    if size[a] < size[b]:
-        a, b = b, a
-    up[b], flip[b] = a, par
-    size[a] += size[b]
-    return True
 
 
 def _shortest_odd_closed_walk(sys: _System):

@@ -12,12 +12,13 @@ in the narrowest signed integer type that a checked Hadamard bound allows
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Hypergraph, MixedHypergraph, SubSelection, _bits, _expect
+from .core import Hypergraph, MixedHypergraph, SubSelection, _bits, _expect, _unite
 from .errors import InputError, SizeGuardError
 
 __all__ = [
@@ -196,17 +197,45 @@ def _minors(m: np.ndarray, top: int):
     for k in range(1, top + 1):
         rows, drop = _subsets(m.shape[0], k)
         cols, col_drop = _subsets(m.shape[1], k)
-        sub = prev[:, col_drop[k - 1]]  # minors without the largest column
-        last = m[:, cols[:, -1]]  # entries of the largest column
+        # np.take keeps both row-major (prev[:, idx] comes out column-major),
+        # so that the k row gathers below read contiguous rows
+        sub = np.take(prev, col_drop[k - 1], axis=1)  # minors without the largest column
+        last = np.take(m, cols[:, -1], axis=1)  # entries of the largest column
         dets = np.zeros((len(rows), len(cols)), dtype=m.dtype)
         for i in range(k):
-            term = last[rows[:, i]] * sub[drop[i]]
+            term = last[rows[:, i]]
+            term *= sub[drop[i]]
             if (i + k - 1) % 2:
                 dets -= term
             else:
                 dets += term
         yield rows, cols, dets
         prev = dets
+
+
+def _signed_graph(m: np.ndarray) -> list[tuple[int, int, int]] | None:
+    """m read as a signed graph, as its edges (a, b, parity); None unless
+    every entry is 0 or +-1 and no column has more than two nonzeros.
+
+    Rows are vertices.  A column with nonzeros in rows a < b is an edge of
+    parity 1 when its two signs agree and 0 when they differ; a column with
+    fewer nonzeros is no edge.
+    """
+    nonzero = m != 0
+    counts = nonzero.sum(axis=0)
+    if (counts > 2).any() or (np.abs(m) > 1).any():
+        return None
+    two = np.flatnonzero(counts == 2)
+    ends = np.nonzero(nonzero[:, two].T)[1].reshape(-1, 2)  # by column, then by row
+    signs = m[ends, two[:, None]]
+    return list(zip(*ends.T.tolist(), (signs[:, 0] == signs[:, 1]).tolist()))
+
+
+def _balanced_without(edges: list[tuple[int, int, int]], n: int, gone: int) -> bool:
+    """True iff the signed graph `edges` on n vertices has no cycle of odd
+    parity once the vertices in the mask `gone` are deleted."""
+    uf = list(range(n)), [0] * n, [1] * n
+    return all(_unite(*uf, a, b, par) for a, b, par in edges if not (gone >> a | gone >> b) & 1)
 
 
 @dataclass(frozen=True)
@@ -225,10 +254,29 @@ def max_abs_subdet(m, cap: int | None = None,
     Orders are scanned ascending and subsets lexicographically, and the
     witness is the first submatrix achieving the maximum in that order, so
     results are reproducible.
+
+    The scan stops early, with the same result, once no later order can
+    beat the best |minor|.  That is proven when m has entries 0 and +-1,
+    at most two nonzeros per column, and so is a signed graph (see
+    `_signed_graph`; Heller & Tompkins 1956, Grossman, Kulkarni &
+    Schochetman 1995).  Let B be a square submatrix with det B != 0.
+    Expanding along a column or row of B with one nonzero keeps |det|;
+    once none is left, every column has two nonzeros, so every row has
+    two, and B is a disjoint union of cycles.  The matrix of a cycle has
+    |det| 2 if its parity is odd and 0 if even.  So |det B| = 2^s, s
+    vertex-disjoint odd cycles on rows of B.  Now let the best be
+    2^t with witness W.  If deleting some t rows of W leaves no odd cycle
+    in the whole signed graph, every |minor| is 2^s with s <= t, as each of
+    its s disjoint odd cycles meets a deleted row: no later order can pass
+    the best, and a tie never replaces the first witness.  Only rows of W
+    need trying, because t deleted rows that meet W's t disjoint odd cycles
+    lie one on each.  At t = 0 this is Heller and Tompkins' theorem: a
+    signed graph with no odd cycle has a totally unimodular matrix.
     """
     if cap is not None:
         cap = _positive_int(cap, "cap")
     m = _check_guard(m, max_dimension_sum)
+    edges = _signed_graph(m)
     best = DeltaResult(0, (), ())
     top = min(m.shape)
     if cap is not None:
@@ -239,21 +287,40 @@ def max_abs_subdet(m, cap: int | None = None,
         if mags[i, j] > best.delta:
             best = DeltaResult(int(mags[i, j]), tuple(rows[i].tolist()),
                                tuple(cols[j].tolist()))
+            t = best.delta.bit_length() - 1
+            if edges is not None and any(
+                    _balanced_without(edges, m.shape[0], sum(1 << r for r in gone))
+                    for gone in itertools.combinations(best.rows, t)):
+                break
     return best
 
 
-def tu_violation(m, max_dimension_sum: int = DEFAULT_MAX_DIMENSION_SUM):
-    """First square submatrix (ascending order, lexicographic) with |det| >= 2.
-
-    Returns (rows, cols, det) or None when the matrix is totally unimodular.
-    """
-    m = _check_guard(m, max_dimension_sum)
+def _first_violation(m: np.ndarray):
+    """`tu_violation` of a matrix that `_check_guard` returned."""
+    edges = _signed_graph(m)
+    if edges is not None and _balanced_without(edges, m.shape[0], 0):
+        return None
     for rows, cols, dets in _minors(m, min(m.shape)):
         bad = np.abs(dets) >= 2
         if bad.any():
             i, j = divmod(int(np.argmax(bad)), bad.shape[1])
             return tuple(rows[i].tolist()), tuple(cols[j].tolist()), int(dets[i, j])
     return None
+
+
+def tu_violation(m, max_dimension_sum: int = DEFAULT_MAX_DIMENSION_SUM):
+    """First square submatrix (ascending order, lexicographic) with |det| >= 2.
+
+    Returns (rows, cols, det) or None when the matrix is totally unimodular.
+
+    A matrix with entries 0 and +-1 and at most two nonzeros per column is
+    a signed graph (see `_signed_graph`), and when that graph has no cycle
+    of odd parity the answer is None without enumerating.  Every nonzero
+    minor of such a matrix is +-2^s with s vertex-disjoint odd cycles on its
+    rows (see `max_abs_subdet`), so with none every minor is 0 or +-1
+    (Heller & Tompkins 1956).
+    """
+    return _first_violation(_check_guard(m, max_dimension_sum))
 
 
 def is_tu_bruteforce(m, max_dimension_sum: int = DEFAULT_MAX_DIMENSION_SUM) -> bool:
@@ -273,7 +340,7 @@ def is_almost_tu(m, max_dimension_sum: int = DEFAULT_MAX_DIMENSION_SUM) -> bool:
     rows, cols = m.shape
     if rows != cols or rows == 0:
         return False
-    first = tu_violation(m, max_dimension_sum)
+    first = _first_violation(m)
     return first is not None and len(first[0]) == rows
 
 

@@ -1,5 +1,6 @@
 import collections
 import itertools
+import json
 import math
 import random
 import time
@@ -8,7 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from tuhyper import core, detect, linalg
+from tuhyper import cli, core, detect, linalg
 from tuhyper.errors import InputError, PreconditionError, SizeGuardError
 from tuhyper.extract import find_eulerian_core
 from tuhyper.gen import GenConfig, Xoshiro256StarStar, generate
@@ -393,6 +394,76 @@ def test_is_almost_tu_matches_definition():
     assert seen > 0
 
 
+def _signed_graph_matrix(rng):
+    """A seeded matrix with entries 0, +-1 and at most two nonzeros per
+    column, of 1-10 rows and columns: up to three planted vertex-disjoint
+    cycles of odd parity (triangles, and pairs of parallel columns with
+    different sign patterns), then edges of both parities, parallel copies
+    of earlier edges in either sign pattern, half-edges and zero columns,
+    the columns in shuffled order."""
+    cycles = [2 + rng.coin() for _ in range(rng.randrange(4))]
+    # rows + cols at most 11 with no cycles (a 10 x 1 matrix, say), 10 with
+    # one or two, 12 with three, keeps the cofactor oracle quick
+    while sum(cycles) > (6 if len(cycles) == 3 else 4):
+        cycles.pop()
+    size, least = (11, 10, 10, 12)[len(cycles)], max(sum(cycles), 1)
+    total = 2 * least + rng.randrange(size - 2 * least + 1)
+    rows = least + rng.randrange(total - 2 * least + 1)
+    cols = total - rows
+    free = rng.sample(range(rows), rows)
+    edges = []
+    for length in cycles:
+        cycle = [free.pop() for _ in range(length)]
+        parities = [rng.coin() for _ in range(length - 1)]
+        parities.append(1 - sum(parities) % 2)
+        edges += [(cycle[i - 1], cycle[i], p) for i, p in enumerate(parities)]
+    while len(edges) < cols:
+        kind = rng.randrange(6)
+        if kind == 0:
+            edges.append(())
+        elif kind == 1 or rows == 1:
+            edges.append((rng.randrange(rows),))
+        elif kind == 2 and any(len(e) == 3 for e in edges):
+            a, b, _ = rng.sample([e for e in edges if len(e) == 3], 1)[0]
+            edges.append((a, b, rng.coin()))
+        else:
+            a, b = rng.sample(range(rows), 2)
+            edges.append((a, b, rng.coin()))
+    m = np.zeros((rows, cols), dtype=np.int64)
+    for c, e in enumerate(rng.sample(edges, cols)):
+        sign = 1 - 2 * rng.coin()
+        if e:
+            m[e[0], c] = sign
+        if len(e) == 3:
+            m[e[1], c] = sign if e[2] else -sign
+    return m
+
+
+def test_signed_graph_bound_keeps_delta_and_the_first_witness():
+    # Matrices with at most two nonzeros per column, entries 0 and +-1, stop
+    # the order scan at a proven bound (see max_abs_subdet); the results
+    # must be the full scan's.  The planted disjoint odd cycles make Delta
+    # 4 or 8 on many, where stopping one deleted row too late would be wrong.
+    rng = Xoshiro256StarStar(66)
+    deltas = collections.Counter()
+    for t in range(2000):
+        m = _signed_graph_matrix(rng)
+        minors = list(_minors_in_scan_order(m, min(m.shape)))
+        for cap in (1, 2, 3, None):
+            upto = [x for x in minors if cap is None or len(x[0]) <= cap]
+            delta = max((abs(d) for _, _, d in upto), default=0)
+            want = next(((rs, cs) for rs, cs, d in upto if abs(d) == delta and delta), ((), ()))
+            got = linalg.max_abs_subdet(m, cap=cap)
+            assert (got.delta, (got.rows, got.cols)) == (delta, want), (t, cap, m)
+        deltas[delta] += 1
+        first = next(((rs, cs, d) for rs, cs, d in minors if abs(d) >= 2), None)
+        assert linalg.tu_violation(m) == first, (t, m)
+        n = m.shape[0]
+        almost = n == m.shape[1] and first is not None and len(first[0]) == n
+        assert linalg.is_almost_tu(m) == almost, (t, m)
+    assert deltas[1] > 200 and deltas[2] > 200 and deltas[4] > 100 and deltas[8] > 10, deltas
+
+
 def test_large_entries_are_exact_or_refused():
     rng = Xoshiro256StarStar(64)
     exact = refused = 0
@@ -425,6 +496,22 @@ def test_large_entries_are_exact_or_refused():
     for m, delta in ((np.array([[2**31]]), 2**31),
                      (np.array([[2**30, 1], [1, 2**30]]), 2**60 - 1)):
         assert linalg.max_abs_subdet(m).delta == linalg.det_exact(m) == delta
+
+
+def test_the_bound_never_lifts_the_size_guard(tmp_path):
+    # a path on 12 vertices is bipartite, so the signed-graph bound would
+    # answer at once, but rows + cols = 23 is past the default guard
+    names = [f"v{i}" for i in range(12)]
+    g = core.Hypergraph.from_names(names, [names[i:i + 2] for i in range(11)])
+    m = core.incidence_matrix(g)
+    assert sum(m.shape) == linalg.DEFAULT_MAX_DIMENSION_SUM + 1
+    for run in (linalg.max_abs_subdet, linalg.tu_violation, linalg.is_tu_bruteforce,
+                linalg.is_almost_tu):
+        with pytest.raises(SizeGuardError):
+            run(m)
+    path = tmp_path / "path12.json"
+    path.write_text(json.dumps(core.instance_to_dict(g)))
+    assert cli.main(["delta", str(path)]) == 3
 
 
 def _enumeration_type(m):
@@ -490,8 +577,11 @@ def test_graph_matrices_enumerate_in_at_most_16_bits():
 
 
 def test_delta_at_the_default_guard_is_fast_and_small():
-    # an 11 x 11 graph matrix (rows + cols = 22) enumerates in int16:
-    # about 12 ms and a 2.9 MB traced peak, against 12 MB in int64
+    # an 11 x 11 graph matrix (rows + cols = 22) enumerates in int16, as
+    # min(rows, cols) = 11.  Its first triangle gives Delta = 2 at order 3,
+    # and deleting one of its rows leaves the graph bipartite, so the scan
+    # stops there: about 0.3 ms and a 0.2 MB traced peak, against 10 ms and
+    # 2.9 MB for the scan of every order, and 12 MB in int64
     g, _ = generate(GenConfig(seed=11, n_vertices=11, n_small_edges=11))
     m = core.incidence_matrix(g)
     assert m.shape == (11, 11)

@@ -2,15 +2,20 @@
 how vertices and edges are numbered, nor on row and column signs of a mixed
 host, nor on the absence proof that can end the odd-cycle passes early; a
 duplicated edge changes neither the decision nor Delta; and every witness
-survives a round trip through JSON."""
+survives a round trip through JSON.  A fuzz over damaged instance documents
+checks that the CLI's exit code keeps its meaning."""
 
+import contextlib
+import io
 import json
+import os
+import tempfile
 from unittest import mock
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from tuhyper import core, detect, linalg
+from tuhyper import cli, core, detect, linalg
 from tuhyper.errors import InputError
 from tuhyper.gen import GenConfig, Plant, generate
 from tuhyper.mixed import negate_column, negate_row
@@ -137,3 +142,79 @@ def test_decision_is_the_same_without_the_absence_proof(host):
     with mock.patch.object(detect, "_no_odd_cycle", lambda *a: False):
         passes_only = detect._decide(host, detect.DEFAULT_SEARCH_BUDGET)
     assert detect._decide(host, detect.DEFAULT_SEARCH_BUDGET) == passes_only
+
+
+JUNK = st.recursive(st.none() | st.booleans() | st.integers(-3, 3) | st.floats()
+                    | st.text(max_size=2),
+                    lambda inner: st.lists(inner, max_size=3)
+                    | st.dictionaries(st.text(max_size=2), inner, max_size=2),
+                    max_leaves=4)
+
+
+def _paths(node, path=()):
+    """The path of every value in a JSON document, the root's () first."""
+    yield path
+    items = node.items() if isinstance(node, dict) else \
+        enumerate(node) if isinstance(node, list) else ()
+    for key, value in items:
+        yield from _paths(value, path + (key,))
+
+
+@st.composite
+def damaged_documents(draw):
+    """A valid instance document (a fixture, or a seeded host) after one to
+    three damages, each at a value of a depth drawn first: a key or item
+    dropped, a value replaced by junk of any type, by a string or by a
+    vertex name that is not listed, or junk nested into a list or an
+    object."""
+    if draw(st.booleans()):
+        doc = core.instance_to_dict(core.fixture(draw(st.sampled_from(core.FIXTURE_NAMES))))
+    else:
+        doc = core.instance_to_dict(draw(disjoint_hosts()))
+    for _ in range(draw(st.integers(1, 3))):
+        paths = list(_paths(doc))  # each depth as likely, the root too
+        depth = draw(st.integers(0, max(map(len, paths))))
+        path = draw(st.sampled_from([p for p in paths if len(p) == depth]))
+        damage = draw(st.sampled_from(("drop", "junk", "string", "unknown-name", "nest")))
+        junk = draw(st.text(max_size=3) if damage == "string" else JUNK)
+        if not path:
+            doc = [doc, junk] if damage == "nest" else doc if damage == "drop" else junk
+            continue
+        *above, key = path
+        parent = doc
+        for step in above:
+            parent = parent[step]
+        node = parent[key]
+        if damage == "drop":
+            del parent[key]
+        elif damage in ("junk", "string"):
+            parent[key] = junk
+        elif damage == "unknown-name":
+            parent[key] = "not-a-vertex"
+        elif isinstance(node, list):
+            node.insert(draw(st.integers(0, len(node))), junk)
+        elif isinstance(node, dict):
+            node[draw(st.text(max_size=2))] = junk
+        else:
+            parent[key] = [node, junk]
+    return doc
+
+
+@BOUNDED
+@given(doc=damaged_documents())
+def test_damaged_documents_exit_2_unless_still_valid(doc):
+    valid = False
+    if isinstance(doc, dict):  # load_instance reads a string as a file path
+        with contextlib.suppress(InputError):
+            core.load_instance(doc)
+            valid = True
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "instance.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        for command, codes in (("check", {0, 1, 3}), ("delta", {0, 3})):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main([command, path])
+            assert code in (codes if valid else {2}), (command, code, err.getvalue())
+            assert "Traceback" not in out.getvalue() + err.getvalue()
