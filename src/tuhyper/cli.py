@@ -353,8 +353,8 @@ def _build_parser() -> argparse.ArgumentParser:
     limits = {
         "--max-nodes": dict(type=_positive_int, default=detect.DEFAULT_SEARCH_BUDGET,
                             help="budget per search phase: path nodes, the vertices its "
-                                 "reachability tests expand and the edges its absence "
-                                 "proof unites; graph hosts are decided in polynomial "
+                                 "reachability tests expand, and the edges and BFS states "
+                                 "of its split walk; graph hosts are decided in polynomial "
                                  "time without it"),
         "--max-order": dict(type=_positive_int, default=linalg.DEFAULT_MAX_DIMENSION_SUM,
                             help="rows+cols guard for exhaustive enumerations"),

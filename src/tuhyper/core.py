@@ -370,13 +370,14 @@ FIXTURE_NAMES = ("fig1", "fig2", "fig4-left", "fig4-right", "fig5", "c3", "c4", 
 def load_instance(doc) -> Hypergraph | MixedHypergraph:
     """Parse an instance from a JSON document (dict, JSON string, or path).
 
-    Vertex names are strings, and a document has exactly one of the lists
-    'edges' and 'arcs'; `from_names` rejects members that are not listed
-    names.
+    A string is JSON text if it starts, after white space, as an object, a
+    list or a string does; any other string is a path.  Vertex names are
+    strings, and a document has exactly one of the lists 'edges' and
+    'arcs'; `from_names` rejects members that are not listed names.
     """
     if isinstance(doc, (str, bytes)):
         text = doc
-        if isinstance(doc, str) and not doc.lstrip().startswith("{"):
+        if isinstance(doc, str) and not doc.lstrip().startswith(("{", "[", '"')):
             with open(doc, "r", encoding="utf-8") as fh:
                 text = fh.read()
         doc = json.loads(text)

@@ -21,21 +21,29 @@ Both phases grow such paths in `_paths` on one explicit stack, so no
 recursion limit bounds their length, and a path grows to a new vertex only
 if its target can still be reached from there, so branches that cannot
 close are cut without changing the search order.  The odd-cycle phase runs
-one pass per length; once the passes have spent as much as it can cost, the
-absence of odd cycles is also tried by an exact proof, `_no_odd_cycle`,
-which splits the edges of size >= 3 into vertex pairs and tests each
-resulting signed graph for balance.  It ends the passes only when no odd
-cycle exists, so every witness is the one the passes alone return.  The
-node budget counts backtracking nodes, the vertices the reachability tests
-expand and the edges the proof unites; an exhausted budget says how far the
-search got.  Every returned witness passes `verify_witness`, a separate
-straight-line checker that shares no state with the search.
+one pass per length, and each pass re-grows the paths of the one before.
+So after the first pass a split walk, `_shortest_split_cycle`, runs once
+on hosts with at most n leaves, and on the others once the passes have
+spent as much as it can cost.  It splits the edges of size >= 3 into vertex
+pairs; every odd cycle of the host lies in a resulting signed graph, and
+every odd cycle of one is an odd cycle of the host.  A parity union-find
+tests each for balance, and the parity BFS gives the shortest odd cycle of
+each unbalanced one, so the walk returns the host's shortest odd-cycle
+length L, or proves that there is no odd cycle.  A single pass of length L
+then gives the witnesses: it is the first pass with a hit that the passes
+alone would run, so every witness is the one they return.  The node budget
+counts backtracking nodes, the vertices the reachability tests expand, the
+edges the walk unites and the states its BFSs reach; an exhausted budget
+says how far the search got.  Every returned witness passes
+`verify_witness`, a separate straight-line checker that shares no state
+with the search.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import NamedTuple
 
 from .core import Hypergraph, MixedHypergraph, _bits, _unite, overlapping_proper_edges
@@ -200,21 +208,22 @@ class _Budget:
     """Node budget of one search, and how far the search got.
 
     `_paths` spends one unit on each path node and one on each vertex that
-    its reachability test expands, and `_no_odd_cycle` one on each edge its
-    union-finds unite.  `longest` is the most vertices on a path that a
-    cycle search has grown.  A path is grown only while its anchor can
-    still be reached from its end, and every prefix of a cycle can reach
-    it, so once a pass for length k leaves `longest` below k, no cycle of
-    length k or more exists.
+    its reachability test expands, and `_shortest_split_cycle` one on each
+    edge its union-finds unite and each state its BFSs reach.  `longest` is
+    the most vertices on a path that a cycle search has grown.  A path is
+    grown only while its anchor can still be reached from its end, and
+    every prefix of a cycle can reach it, so once a pass for length k
+    leaves `longest` below k, no cycle of length k or more exists.
 
     `what` is the witness kind searched ("odd-cycle", ...), `ruled_out`
     the kind an earlier phase proved absent, if any, and a cycle search
     sets `length` to the pass it runs, or to the next pass while
-    `splitting` (its absence proof runs); they are read only to word the
-    error that an exhausted budget raises.
+    `splitting` (the split walk runs); `exists` says that the split has
+    proven a cycle of length `length`, whose pass then runs.  They are read
+    only to word the error that an exhausted budget raises.
     """
 
-    __slots__ = ("left", "longest", "what", "ruled_out", "length", "splitting")
+    __slots__ = ("left", "longest", "what", "ruled_out", "length", "splitting", "exists")
 
     def __init__(self, nodes: int, what: str = "odd-cycle", ruled_out: str = ""):
         self.left = nodes
@@ -223,6 +232,7 @@ class _Budget:
         self.ruled_out = ruled_out
         self.length = 0
         self.splitting = False
+        self.exists = False
 
     def spend(self, nodes: int = 1) -> None:
         self.left -= nodes
@@ -231,7 +241,10 @@ class _Budget:
             if self.length:
                 where = ("while splitting edges of size >= 3" if self.splitting
                          else f"in the length-{self.length} pass")
-                got = f"no {what} of length < {self.length}; budget exhausted {where}"
+                got = f"no {what} of length < {self.length}; "
+                if self.exists:
+                    got += f"one of length {self.length} exists; "
+                got += f"budget exhausted {where}"
             else:
                 got = f"budget exhausted in the {what} search"
                 if self.ruled_out:
@@ -350,22 +363,36 @@ def _odd_cycles(sys: _System, shortest: int, step: int, budget: _Budget):
     """All odd-parity cycles of the least length shortest, shortest + step,
     ... that has one, in search order.
 
-    Each length pass re-grows the paths of the pass before it.  So once the
-    passes have spent the most that `_no_odd_cycle` can cost, that proof
-    runs, once, before the next pass: if it shows that no odd cycle exists,
-    no pass follows, and otherwise the passes go on as if it had not run.
-    It never runs before the first pass (its cost is at least one unit), so
-    on small hosts the passes alone decide, and it at most doubles the work.
+    The length-`shortest` pass runs first.  Each later pass would re-grow
+    the paths of the pass before it, so before any later pass the split
+    walk `_shortest_split_cycle` runs once instead, if it has at most n
+    leaves (`_split_cost` <= n * m, a property of the host) or once the
+    passes have spent the most it can cost.  It gives the length L of a
+    shortest odd cycle, or None, and a None ends the search.  Otherwise one
+    pass of length L runs: the passes alone would find nothing before it
+    and hits in it, so its hits are theirs.  Hosts with more leaves, whose
+    passes end before the bound, never split.
     """
-    split_at = budget.left - _split_cost(sys, budget.left)
+    n_m = sys.n * len(sys.support)
+    cost = _split_cost(sys, max(budget.left, n_m))
+    few_leaves, split_at = cost <= n_m, budget.left - cost
     for k in range(shortest, sys.cycle_cap() + 1, step):
         budget.length = k
-        if budget.left <= split_at:
-            split_at = -1  # it runs once
+        if k > shortest and (few_leaves or budget.left <= split_at):
             budget.splitting = True
-            if _no_odd_cycle(sys, budget):
-                return
+            length = _shortest_split_cycle(sys, budget, k)
             budget.splitting = False
+            if length is None:
+                return
+            budget.length, budget.exists = length, True
+            found = False
+            for hit in _cycles_of_length(sys, length, budget):
+                found = True
+                yield hit
+            if not found:
+                raise InternalConsistencyError(f"{budget.what}-search",
+                                               f"the split's length-{length} cycle was not found")
+            return
         found = False
         for hit in _cycles_of_length(sys, k, budget):
             found = True
@@ -375,8 +402,9 @@ def _odd_cycles(sys: _System, shortest: int, step: int, budget: _Budget):
 
 
 def _split_cost(sys: _System, cap: int) -> int:
-    """Most units `_no_odd_cycle` can spend, the number of edges times
-    prod(1 + C(|e|, 2)) over the edges e of size >= 3; cap + 1 if above cap."""
+    """Most units the balance tests of `_shortest_split_cycle` can spend,
+    the number of edges times the leaf count prod(1 + C(|e|, 2)) over the
+    edges e of size >= 3; cap + 1 if above cap."""
     cost = len(sys.support)
     for sup in sys.support:
         size = sup.bit_count()
@@ -387,9 +415,11 @@ def _split_cost(sys: _System, cap: int) -> int:
     return cost
 
 
-def _no_odd_cycle(sys: _System, budget: _Budget) -> bool:
-    """True iff the host has no cycle of odd parity; each edge a union-find
-    unites spends one unit of budget.
+def _shortest_split_cycle(sys: _System, budget: _Budget, least: int) -> int | None:
+    """Length of a shortest cycle of odd parity in the host, None if it has
+    none; it stops early at `least`, below which the caller knows there is
+    none.  Each edge a union-find unites, and each state a BFS reaches,
+    spends one unit of budget.
 
     The edges e of size >= 3 are split in turn, depth first on an explicit
     stack: e is dropped, or kept as one pair {a, b} of its vertices with
@@ -397,16 +427,20 @@ def _no_odd_cycle(sys: _System, budget: _Budget) -> bool:
     vertices is dropped (one left with two needs no drop: keeping it only
     adds an edge).  Each leaf is a signed multigraph, an edge per kept pair
     with parity `pair_parity`, and Harary's balance test (1953) on it is a
-    parity union-find.  An odd cycle C of the host lies in the leaf that
+    parity union-find (`_odd_sources`).  An odd cycle C of the host lies in the leaf that
     keeps each big edge of C as its pair on C and drops the others, as no
     deleted vertex is on C; conversely, a leaf edge taken from e meets the
     leaf's vertices only in its pair, so an odd cycle of a leaf is an odd
-    cycle of the host.
+    cycle of the host.  The shortest odd cycle of the host is thus the
+    least, over the unbalanced leaves, of the leaf's own shortest one,
+    which `_shortest_odd_closed_walk` finds; each such BFS stops at half
+    the least length found so far.
     """
     support, n = sys.support, sys.n
     big = [eid for eid, sup in enumerate(support) if sup.bit_count() > 2]
     pairs = [_arc(sys, eid, sup) for eid, sup in enumerate(support) if sup.bit_count() == 2]
     stack = [(0, 0, pairs)]  # (next big edge, deleted vertices, edges to unite)
+    best = None
     while stack:
         i, gone, arcs = stack.pop()
         if i < len(big):
@@ -419,26 +453,51 @@ def _no_odd_cycle(sys: _System, budget: _Budget) -> bool:
                 stack.append((i + 1, gone | sup & ~pair, arcs + [_arc(sys, eid, pair)]))
             continue
         budget.spend(len(arcs))
-        leaf = list(range(n)), [0] * n, [1] * n
-        for mask, a, b, par in arcs:
-            if not mask & gone and not _unite(*leaf, a, b, par):
-                return False
-    return True
+        live = [arc for arc in arcs if not arc[0] & gone]
+        sources = _odd_sources(n, live)
+        if sources:
+            hit = _shortest_odd_closed_walk(n, live, budget, best, sources)
+            if hit is not None:
+                best = len(hit[0])
+                if best == least:
+                    return best
+    return best
+
+
+def _odd_sources(n: int, arcs) -> int:
+    """One past the greatest s such that the arcs (as `_arc` gives them)
+    among the vertices >= s form an unbalanced signed graph; 0 if the arcs
+    are balanced.
+
+    The arcs are united by descending least vertex a, so at the first
+    contradiction, at a, those among the vertices > a are balanced: no odd
+    cycle has its least vertex above a, and no BFS from there can find one.
+    """
+    leaf = list(range(n)), [0] * n, [1] * n
+    for _, _, a, b, par in sorted(arcs, key=itemgetter(2), reverse=True):
+        if not _unite(*leaf, a, b, par):
+            return a + 1
+    return 0
 
 
 def _arc(sys: _System, eid: int, pair: int):
-    """(pair, a, b, parity) for the vertex pair `pair` of edge eid."""
+    """(pair, eid, a, b, parity) for the vertex pair `pair` of edge eid."""
     a, b = (pair & -pair).bit_length() - 1, pair.bit_length() - 1
-    return pair, a, b, sys.pair_parity(eid, a, b)
+    return pair, eid, a, b, sys.pair_parity(eid, a, b)
 
 
-def _shortest_odd_closed_walk(sys: _System):
-    """Shortest cycle of odd parity in a graph host, as (vertices, edge_ids).
+def _shortest_odd_closed_walk(n: int, arcs, budget: _Budget | None = None,
+                              bound: int | None = None, sources: int | None = None):
+    """Shortest cycle of odd parity in the signed multigraph on the vertices
+    0, ..., n - 1 whose edges are `arcs` (as `_arc` gives them), as
+    (vertices, edge_ids); None if it has none shorter than `bound`, or none
+    whose least vertex is below `sources`.  With a budget, each state
+    reached spends one unit.
 
-    Every edge has at most two vertices, so every cycle of the host is a
-    partial subhypergraph, and the shortest odd-parity closed walk is such a
-    cycle: a walk that repeats a vertex splits there into two closed walks,
-    one of them odd and shorter, and a walk over one edge and back has even
+    Every edge has two vertices, so every cycle of the host is a partial
+    subhypergraph, and the shortest odd-parity closed walk is such a cycle:
+    a walk that repeats a vertex splits there into two closed walks, one of
+    them odd and shorter, and a walk over one edge and back has even
     parity.  For an unsigned host every pair has parity 1, so odd parity
     means odd length (at least 3); a mixed host may close in two arcs.
 
@@ -448,23 +507,19 @@ def _shortest_odd_closed_walk(sys: _System):
     in (v, q) and (v, 1 - q) close an odd walk through s; on a shortest such
     walk of length W the middle vertex is reached from both sides within
     depth W // 2, so a BFS stops once its depth reaches half the best length
-    found.  A BFS that runs out of states without closing any odd walk
-    proves its component among the vertices >= s balanced, and those
-    vertices are not tried as sources.  Bipartite graphs thus cost O(n + m).
+    found, or half `bound`.  A BFS that runs out of states without closing
+    any odd walk proves its component among the vertices >= s balanced, and
+    those vertices are not tried as sources.  Bipartite graphs thus cost
+    O(n + m).
     """
-    n = sys.n
     adj = [[] for _ in range(n)]
-    for eid, sup in enumerate(sys.support):
-        if sup.bit_count() == 2:
-            a = (sup & -sup).bit_length() - 1
-            b = sup.bit_length() - 1
-            par = sys.pair_parity(eid, a, b)
-            adj[a].append((eid, b, par))
-            adj[b].append((eid, a, par))
+    for _, eid, a, b, par in arcs:
+        adj[a].append((eid, b, par))
+        adj[b].append((eid, a, par))
     dist = [-1] * (2 * n)
     parent = [None] * (2 * n)
     balanced = bytearray(n)
-    best_len = n + 1
+    best_len = n + 1 if bound is None else bound
     best = None
 
     def path_to(state):
@@ -477,7 +532,7 @@ def _shortest_odd_closed_walk(sys: _System):
         vs.append(state >> 1)
         return vs[::-1], ids[::-1]
 
-    for s in range(n):
+    for s in range(n if sources is None else sources):
         if balanced[s]:
             continue
         seen = [2 * s]
@@ -509,6 +564,8 @@ def _shortest_odd_closed_walk(sys: _System):
                         best = (vs_a + vs_b[:0:-1], ids_a + [eid] + ids_b[::-1])
             level = nxt
             depth += 1
+        if budget is not None:
+            budget.spend(len(seen))
         component_balanced = not level and not odd
         for st in seen:
             if component_balanced:
@@ -521,7 +578,8 @@ def _shortest_odd_closed_walk(sys: _System):
 def _find_cycle(sys: _System, shortest: int, step: int, budget: _Budget):
     """Shortest odd-parity cycle of length shortest, shortest + step, ..."""
     if sys.is_graph():
-        return _shortest_odd_closed_walk(sys)
+        arcs = [_arc(sys, eid, sup) for eid, sup in enumerate(sys.support) if sup.bit_count() == 2]
+        return _shortest_odd_closed_walk(sys.n, arcs)
     return next(_odd_cycles(sys, shortest, step, budget), None)
 
 

@@ -30,6 +30,23 @@ def noisy_tree_house(seed: int, lens: tuple[int, int, int], extra: int = 2,
     return Hypergraph.from_names(names, edges)
 
 
+def ring_with_a_triple(n: int) -> Hypergraph:
+    """C_n whose closing edge is widened by one extra vertex: still an odd
+    cycle for odd n, but no graph host, so the backtracking decides it."""
+    names = [f"v{i}" for i in range(n)] + ["x"]
+    edges = [[names[i], names[i + 1]] for i in range(n - 1)] + [[names[-2], names[0], "x"]]
+    return Hypergraph.from_names(names, edges)
+
+
+def ring2(n: int) -> Hypergraph:
+    """`ring_with_a_triple(n)` plus the edges {x, y} and {y, v5}: the triple
+    then survives peeling.  For odd n the ring is still the only odd cycle;
+    for even n the only odd cycles run through y and have length n - 3."""
+    g = ring_with_a_triple(n)
+    edges = [[g.names[v] for v in e] for e in g.edges] + [["x", "y"], ["y", "v5"]]
+    return Hypergraph.from_names(list(g.names) + ["y"], edges)
+
+
 def bipartite_with_c9(n_b: int = 18, n_pairs: int = 28, seed: int = 1) -> Hypergraph:
     """`n_pairs` random edges between the even and the odd vertices of
     b0, ..., b{n_b - 1}, joined by the edge {b0, c0} to a separate C9 on

@@ -12,18 +12,21 @@ import numpy as np
 
 
 def det_cofactor(m) -> int:
-    """Determinant by Laplace expansion along the first row."""
-    m = [list(map(int, row)) for row in np.asarray(m)]
+    """Determinant by Laplace expansion along the first row, on a copy of m
+    as lists of Python integers."""
+    return _laplace([[int(x) for x in row] for row in m])
+
+
+def _laplace(m: list[list[int]]) -> int:
     n = len(m)
     if n == 0:
         return 1
     if n == 1:
         return m[0][0]
     total = 0
-    for j in range(n):
-        if m[0][j]:
-            minor = [row[:j] + row[j + 1 :] for row in m[1:]]
-            total += (-1) ** j * m[0][j] * det_cofactor(minor)
+    for j, x in enumerate(m[0]):
+        if x:
+            total += (-1) ** j * x * _laplace([row[:j] + row[j + 1 :] for row in m[1:]])
     return total
 
 

@@ -184,6 +184,16 @@ def test_instance_json_round_trip():
         assert core.load_instance(doc) == g
 
 
+def test_json_text_of_a_list_or_a_string_is_an_input_error(tmp_path):
+    for text in ("[1]", ' "x"', "  [ ]"):
+        with pytest.raises(InputError, match="must be an object"):
+            core.load_instance(text)
+    # a string that names a file still loads it
+    path = tmp_path / "fig1.json"
+    path.write_text(json.dumps(core.instance_to_dict(core.fixture("fig1"))), encoding="utf-8")
+    assert core.load_instance(str(path)) == core.fixture("fig1")
+
+
 def test_fixture_unknown_name():
     with pytest.raises(InputError):
         core.fixture("fig9")

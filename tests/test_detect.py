@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import inspect
+import itertools
 import random
 import sys
 import time
@@ -14,7 +15,7 @@ from tuhyper.detect import (
     _Budget,
     _cycles_of_length,
     _decide,
-    _no_odd_cycle,
+    _shortest_split_cycle,
     _System,
     MixedOddCycleWitness,
     OddCycleWitness,
@@ -34,7 +35,7 @@ from tuhyper.detect import (
 from tuhyper.errors import BudgetExceededError, InputError, NotDisjointError
 from tuhyper.gen import GenConfig, Plant, generate
 
-from _hosts import noisy_tree_house
+from _hosts import noisy_tree_house, ring2, ring_with_a_triple
 from _oracles import has_odd_cycle_exhaustive, ocp_exhaustive, shortest_odd_cycle_exhaustive
 
 
@@ -361,16 +362,8 @@ def test_a_host_of_the_other_type_is_an_input_error():
             witness_from_dict(fig1, doc)
 
 
-def _ring_with_a_triple(n):
-    """C_n whose closing edge is widened by one extra vertex: still an odd
-    cycle for odd n, but no graph host, so the backtracking decides it."""
-    names = [f"v{i}" for i in range(n)] + ["x"]
-    edges = [[names[i], names[i + 1]] for i in range(n - 1)] + [[names[-2], names[0], "x"]]
-    return Hypergraph.from_names(names, edges)
-
-
 def test_backtracking_needs_no_frame_per_path_vertex():
-    g = _ring_with_a_triple(101)
+    g = ring_with_a_triple(101)
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(len(inspect.stack()) + 50)
     try:
@@ -422,22 +415,36 @@ def test_reachability_cut_decides_tu_families_within_a_small_budget():
 
 
 def test_long_ring_with_a_triple_found_or_stopped_by_its_budget():
-    w = find_odd_cycle(_ring_with_a_triple(101))
+    w = find_odd_cycle(ring_with_a_triple(101))
     assert w.vertices == tuple(range(101))
-    # every vertex a reachability test expands is charged to the budget,
-    # which therefore runs out in an early length pass
-    ring = _ring_with_a_triple(2001)
+    # the four leaves of the split give the length 2001 after the length-3
+    # pass; every vertex a reachability test expands is charged to the
+    # budget, which therefore runs out in the length-2001 pass
+    ring = ring_with_a_triple(2001)
     start = time.perf_counter()
     with pytest.raises(BudgetExceededError) as exc:
         find_odd_cycle(ring, max_nodes=100_000)
     assert time.perf_counter() - start < 5.0
-    k = int(str(exc.value).split("length < ")[1].split(";")[0])
-    assert 3 < k < 20 and str(exc.value).startswith(
-        f"no odd cycle of length < {k}; budget exhausted in the length-{k} pass;")
+    assert str(exc.value) == (
+        "no odd cycle of length < 2001; one of length 2001 exists; budget exhausted in the"
+        " length-2001 pass; raise max_nodes to continue the exact search")
+
+
+def test_long_odd_rings_with_a_big_edge_are_decided_within_the_default_budget():
+    # the split gives the length 1201 after the length-3 pass, and a single
+    # pass of that length finds the ring; without the split walk the length
+    # passes run out of the default budget in the length-93 and length-67
+    # passes
+    for g in (ring_with_a_triple(1201), ring2(1201)):
+        start = time.perf_counter()
+        d = decide_unimodular_disjoint(g)
+        assert time.perf_counter() - start < 2.0
+        assert not d.tu and d.witness.vertices == tuple(range(1201))
+        assert verify_witness(g, d.witness)
 
 
 def test_budget_error_says_how_far_the_search_got():
-    ring = _ring_with_a_triple(2001)
+    ring = ring_with_a_triple(2001)
     with pytest.raises(BudgetExceededError, match="^no mixed odd cycle of length < "):
         decide_unimodular_mixed_disjoint(core.as_mixed(ring), max_nodes=100_000)
     # one 12-vertex edge, each vertex on three pendant edges: no cycle, and a
@@ -458,7 +465,7 @@ def test_searches_leave_no_garbage_cycles():
     gc.collect()
     gc.disable()
     try:
-        for host in (core.fixture("fig1"), core.fixture("fig5"), _ring_with_a_triple(31),
+        for host in (core.fixture("fig1"), core.fixture("fig5"), ring_with_a_triple(31),
                      noisy_tree_house(3, (7, 7, 7))):
             _decide(host, DEFAULT_SEARCH_BUDGET)
         assert gc.collect() == 0
@@ -470,7 +477,7 @@ def test_split_proof_matches_exhaustive_oracle():
     # non-graph hosts with one to three edges of size >= 3, a third of them
     # not disjoint; half are mixed, so two-arc cycles and parities count
     sizes = ((3,), (4,), (5,), (3, 3), (3, 4), (4, 5), (3, 3, 4), (3, 4, 4))
-    hosts = absent = 0
+    hosts = absent = longer = 0
     for seed in range(480):
         try:
             host, _ = generate(GenConfig(seed=80_000 + seed, n_vertices=5 + seed % 3,
@@ -481,16 +488,37 @@ def test_split_proof_matches_exhaustive_oracle():
             continue
         if all(sup.bit_count() <= 2 for sup in host.support_masks):
             continue
-        proven = _no_odd_cycle(_System(host), _Budget(10**7))
-        assert proven == (shortest_odd_cycle_exhaustive(host) is None), seed
+        want = shortest_odd_cycle_exhaustive(host)
+        least = 2 if isinstance(host, MixedHypergraph) else 3
+        length = _shortest_split_cycle(_System(host), _Budget(10**7), least)
+        assert length == want, seed
         hosts += 1
-        absent += proven
-    assert hosts >= 300 and 50 < absent < hosts - 50
+        absent += length is None
+        longer += length is not None and length > least
+    assert hosts >= 300 and 50 < absent < hosts - 50 and longer >= 10
+    # longer cycles, of known length: an odd ring is the only odd cycle;
+    # for even n, ring+triple has none and ring2 the (n - 3)-cycle through y
+    for n in range(6, 40):
+        for host, want in ((ring_with_a_triple(n), n if n % 2 else None),
+                           (ring2(n), n if n % 2 else n - 3)):
+            for h, least in ((host, 3), (core.as_mixed(host), 2)):
+                assert _shortest_split_cycle(_System(h), _Budget(10**7), least) == want, (n, h)
+    # two odd cycles, through two pairs of one triple, in both leaf orders:
+    # the least over the leaves counts, not the first unbalanced one
+    for a, b in ((5, 9), (9, 5)):
+        names = ["x", "y", "z"] + [f"p{i}" for i in range(a - 2)] + [f"q{i}" for i in range(b - 2)]
+        edges = [["x", "y", "z"]]
+        edges += [[u, w] for u, w in itertools.pairwise(["x", *names[3:a + 1], "y"])]
+        edges += [[u, w] for u, w in itertools.pairwise(["y", *names[a + 1:], "z"])]
+        host = Hypergraph.from_names(names, edges)
+        assert _shortest_split_cycle(_System(host), _Budget(10**7), 3) == 5, (a, b)
+        assert len(find_odd_cycle(host).vertices) == 5
 
 
 def test_split_proof_decides_a_noisy_tree_house_within_a_small_budget():
     # the length passes 3, 5, ... (mixed: 2, 3, ...) each re-grow the
-    # branches; without the proof they alone need 1,397 (mixed: 2,579) units
+    # branches; without the split walk they alone need 1,397 (mixed: 2,579)
+    # units, and with it, which runs after the first pass, 438 (mixed: 304)
     house = noisy_tree_house(3, (7, 7, 7))
     for host in (house, core.as_mixed(house)):
         d = _decide(host, max_nodes=1_000)
@@ -502,16 +530,16 @@ def test_budget_error_inside_the_split_proof_says_what_is_proven(monkeypatch):
     host = noisy_tree_house(3, (7, 7, 7))
     entered = []
 
-    def recorded(system, budget):
+    def recorded(system, budget, least):
         entered.append((DEFAULT_SEARCH_BUDGET - budget.left, budget.length))
-        return _no_odd_cycle(system, budget)
+        return _shortest_split_cycle(system, budget, least)
 
-    monkeypatch.setattr(detect, "_no_odd_cycle", recorded)
+    monkeypatch.setattr(detect, "_shortest_split_cycle", recorded)
     assert find_odd_cycle(host) is None
     monkeypatch.undo()
     [(spent, k)] = entered
     assert k > 3
-    # the same passes run, and the proof then spends the one unit left
+    # the first pass runs, and the split walk then spends the one unit left
     with pytest.raises(BudgetExceededError) as exc:
         find_odd_cycle(host, max_nodes=spent + 1)
     assert str(exc.value) == (

@@ -342,10 +342,11 @@ def _minors_in_scan_order(m, top):
     """(rows, cols, det) over every square submatrix up to order top, by
     ascending order, then lexicographic rows, then lexicographic columns."""
     rows, cols = m.shape
+    lists = m.tolist()
     for k in range(1, top + 1):
         for rs in itertools.combinations(range(rows), k):
             for cs in itertools.combinations(range(cols), k):
-                yield rs, cs, det_cofactor(m[np.ix_(rs, cs)])
+                yield rs, cs, det_cofactor([[lists[r][c] for c in cs] for r in rs])
 
 
 def _seeded_matrices(seed, count):

@@ -1,6 +1,6 @@
 """Property tests over seeded disjoint hosts: the decision does not depend on
 how vertices and edges are numbered, nor on row and column signs of a mixed
-host, nor on the absence proof that can end the odd-cycle passes early; a
+host, nor on the split walk that ends the odd-cycle passes early; a
 duplicated edge changes neither the decision nor Delta; and every witness
 survives a round trip through JSON.  A fuzz over damaged instance documents
 checks that the CLI's exit code keeps its meaning."""
@@ -20,7 +20,7 @@ from tuhyper.errors import InputError
 from tuhyper.gen import GenConfig, Plant, generate
 from tuhyper.mixed import negate_column, negate_row
 
-from _hosts import noisy_tree_house
+from _hosts import noisy_tree_house, ring2, ring_with_a_triple
 
 BOUNDED = settings(derandomize=True, max_examples=60, deadline=None)
 
@@ -113,19 +113,24 @@ def test_witnesses_round_trip_through_json_and_reverify(host):
 
 
 @st.composite
-def noisy_tree_houses(draw):
-    """Hosts whose odd-cycle passes run long enough to reach the absence
-    proof: planted odd tree houses with bipartite noise on each branch, in
-    one host of three with one more edge of two vertices, which may close
-    an odd cycle.  A mixed one is the all-head form with random rows and
-    columns negated."""
-    lens = tuple(draw(st.lists(st.sampled_from((1, 3, 5, 7)), min_size=3, max_size=3)))
-    g = noisy_tree_house(draw(st.integers(0, 2**32)), lens, draw(st.integers(2, 3)),
-                         draw(st.integers(2, 5)))
-    if draw(st.integers(0, 2)) == 0:
-        a, b = draw(st.lists(st.sampled_from(g.names), min_size=2, max_size=2, unique=True))
-        g = core.Hypergraph.from_names(g.names, [[g.names[v] for v in e] for e in g.edges]
-                                       + [[a, b]])
+def split_hosts(draw):
+    """Hosts whose odd-cycle passes run past the first, so that the split
+    walk runs: planted odd tree houses with bipartite noise on each branch,
+    in one host of three with one more edge of two vertices, which may
+    close an odd cycle, or rings of odd or even length whose closing edge
+    is widened to a triple, half of them with two more edges as in ring2.
+    A mixed one is the all-head form with random rows and columns negated."""
+    if draw(st.booleans()):
+        lens = tuple(draw(st.lists(st.sampled_from((1, 3, 5, 7)), min_size=3, max_size=3)))
+        g = noisy_tree_house(draw(st.integers(0, 2**32)), lens, draw(st.integers(2, 3)),
+                             draw(st.integers(2, 5)))
+        if draw(st.integers(0, 2)) == 0:
+            a, b = draw(st.lists(st.sampled_from(g.names), min_size=2, max_size=2,
+                                 unique=True))
+            g = core.Hypergraph.from_names(g.names, [[g.names[v] for v in e] for e in g.edges]
+                                           + [[a, b]])
+    else:
+        g = draw(st.sampled_from((ring_with_a_triple, ring2)))(draw(st.integers(6, 41)))
     if not draw(st.booleans()):
         return g
     d = core.as_mixed(g)
@@ -137,9 +142,10 @@ def noisy_tree_houses(draw):
 
 
 @BOUNDED
-@given(host=noisy_tree_houses())
+@given(host=split_hosts())
 def test_decision_is_the_same_without_the_absence_proof(host):
-    with mock.patch.object(detect, "_no_odd_cycle", lambda *a: False):
+    # a split cost above every cap keeps the split from running
+    with mock.patch.object(detect, "_split_cost", lambda sys, cap: cap + 1):
         passes_only = detect._decide(host, detect.DEFAULT_SEARCH_BUDGET)
     assert detect._decide(host, detect.DEFAULT_SEARCH_BUDGET) == passes_only
 
