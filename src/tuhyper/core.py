@@ -5,6 +5,12 @@ table so incidence matrices are deterministic: row order == vertex order,
 column order == edge/arc order.  Hyperedges form a multiset realized as an
 id-indexed sequence (the position is the edge id), so parallel edges are
 first-class.  All types are immutable after construction.
+
+`__post_init__` is the one validator of each host type, and it reads each
+edge or arc side once: one walk over its ids checks that they are integers,
+strictly ascending and below n, and builds its bitmask.  The name index it
+builds is also the check that names are unique.  `from_names` only maps
+names to sorted ids and reports a name repeated within an edge or side.
 """
 
 from __future__ import annotations
@@ -44,14 +50,50 @@ def _mask(vertex_ids) -> int:
     return m
 
 
-def _name_index(vertices) -> tuple[tuple[str, ...], dict[str, int]]:
-    names = tuple(vertices)
-    if not {str}.issuperset(map(type, names)):
-        raise InputError("vertex names must be strings")
+def _name_index(names) -> dict:
+    """Name -> vertex id; InputError unless the names are unique."""
     index = {nm: i for i, nm in enumerate(names)}
     if len(index) != len(names):
         raise InputError("vertex names must be unique")
-    return names, index
+    return index
+
+
+def _ids_mask(ids, n: int, what: str, i: int) -> int:
+    """Bitmask of the vertex ids `ids` of member i (`what`: "edge", "arc"),
+    checked in the same walk: integers, strictly ascending, below n."""
+    mask, prev = 0, -1
+    try:
+        for v in ids:
+            if not prev < v < n:
+                raise InputError(f"{what} {i} must hold strictly ascending vertex ids "
+                                 f"in range({n})")
+            mask |= 1 << v  # raises TypeError unless v is an integer
+            prev = v
+    except TypeError:
+        raise InputError(f"{what} {i} holds a vertex id that is not an integer") from None
+    return mask
+
+
+def _names(vertices):
+    """The names as a tuple, and the __getitem__ of their name -> id map."""
+    names = tuple(vertices)
+    if not {str}.issuperset(map(type, names)):
+        raise InputError("vertex names must be strings")
+    return names, {nm: i for i, nm in enumerate(names)}.__getitem__
+
+
+def _mapped(get, names, what: str, member) -> tuple[int, ...]:
+    """Sorted ids of the names of one edge or arc side, by `get` from
+    `_names`; InputError for a name not listed or repeated (`what` and
+    `member` word it)."""
+    # every name is a string, so a member that is not one is unknown
+    try:
+        ids = sorted(map(get, names))
+    except (KeyError, TypeError):
+        raise InputError(f"{what} {member!r} references an unknown vertex") from None
+    if len(set(ids)) != len(ids):
+        raise InputError(f"{what} {member!r} repeats a vertex")
+    return tuple(ids)
 
 
 def _bits(mask: int):
@@ -111,17 +153,14 @@ class Hypergraph:
 
     def __post_init__(self):
         n = len(self.names)
-        if len(set(self.names)) != n:
-            raise InputError("vertex names must be unique")
+        object.__setattr__(self, "_index", _name_index(self.names))
+        masks = []
         for eid, edge in enumerate(self.edges):
-            if not edge:
+            mask = _ids_mask(edge, n, "edge", eid)
+            if not mask:
                 raise InputError(f"edge {eid} is empty")
-            if list(edge) != sorted(set(edge)):
-                raise InputError(f"edge {eid} must be a sorted duplicate-free tuple")
-            if edge[0] < 0 or edge[-1] >= n:
-                raise InputError(f"edge {eid} references an unknown vertex")
-        object.__setattr__(self, "_masks", tuple(_mask(e) for e in self.edges))
-        object.__setattr__(self, "_index", {nm: v for v, nm in enumerate(self.names)})
+            masks.append(mask)
+        object.__setattr__(self, "_masks", tuple(masks))
 
     n_vertices = property(_n_vertices)
     vertex_id = _vertex_id
@@ -151,19 +190,8 @@ class Hypergraph:
 
     @classmethod
     def from_names(cls, vertices, edges) -> "Hypergraph":
-        names, index = _name_index(vertices)
-        out = []
-        for edge in edges:
-            # every name is a string, so a member that is not one is unknown
-            try:
-                ids = [index[v] for v in edge]
-            except (KeyError, TypeError):
-                raise InputError(f"edge {edge!r} references an unknown vertex") from None
-            unique = sorted(set(ids))
-            if len(unique) != len(ids):
-                raise InputError(f"edge {edge!r} repeats a vertex")
-            out.append(tuple(unique))
-        return cls(names, tuple(out))
+        names, get = _names(vertices)
+        return cls(names, tuple(_mapped(get, edge, "edge", edge) for edge in edges))
 
 
 @dataclass(frozen=True)
@@ -179,23 +207,20 @@ class MixedHypergraph:
 
     def __post_init__(self):
         n = len(self.names)
-        if len(set(self.names)) != n:
-            raise InputError("vertex names must be unique")
+        object.__setattr__(self, "_index", _name_index(self.names))
+        smasks, tmasks = [], []
         for aid, (heads, tails) in enumerate(self.arcs):
-            for part in (heads, tails):
-                if list(part) != sorted(set(part)):
-                    raise InputError(f"arc {aid} sides must be sorted duplicate-free tuples")
-                if part and (part[0] < 0 or part[-1] >= n):
-                    raise InputError(f"arc {aid} references an unknown vertex")
-            if not heads and not tails:
+            s = _ids_mask(heads, n, "arc", aid)
+            t = _ids_mask(tails, n, "arc", aid)
+            if not s | t:
                 raise InputError(f"arc {aid} is empty")
-            if set(heads) & set(tails):
+            if s & t:
                 raise InputError(f"arc {aid} has a vertex on both sides")
-        object.__setattr__(self, "_smasks", tuple(_mask(s) for s, _ in self.arcs))
-        object.__setattr__(self, "_tmasks", tuple(_mask(t) for _, t in self.arcs))
-        object.__setattr__(self, "_umasks",
-                           tuple(s | t for s, t in zip(self._smasks, self._tmasks)))
-        object.__setattr__(self, "_index", {nm: v for v, nm in enumerate(self.names)})
+            smasks.append(s)
+            tmasks.append(t)
+        object.__setattr__(self, "_smasks", tuple(smasks))
+        object.__setattr__(self, "_tmasks", tuple(tmasks))
+        object.__setattr__(self, "_umasks", tuple(s | t for s, t in zip(smasks, tmasks)))
 
     n_vertices = property(_n_vertices)
     vertex_id = _vertex_id
@@ -222,18 +247,10 @@ class MixedHypergraph:
 
     @classmethod
     def from_names(cls, vertices, arcs) -> "MixedHypergraph":
-        names, index = _name_index(vertices)
-        out = []
-        for heads, tails in arcs:
-            try:
-                s = [index[v] for v in heads]
-                t = [index[v] for v in tails]
-            except (KeyError, TypeError):
-                raise InputError(f"arc {(heads, tails)!r} references an unknown vertex") from None
-            if len(set(s)) != len(s) or len(set(t)) != len(t):
-                raise InputError(f"arc {(heads, tails)!r} repeats a vertex on one side")
-            out.append((tuple(sorted(s)), tuple(sorted(t))))
-        return cls(names, tuple(out))
+        names, get = _names(vertices)
+        return cls(names, tuple((_mapped(get, heads, "arc", (heads, tails)),
+                                 _mapped(get, tails, "arc", (heads, tails)))
+                                for heads, tails in arcs))
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,11 @@ over one restricted-parity function, which is 1 on every unsigned edge.
 
 On a graph host (every edge or arc has at most two vertices) the odd-cycle
 question is a balance test, and the shortest odd cycle comes from a
-breadth-first search on the parity double cover in polynomial time.  Other
+breadth-first search on the parity double cover in polynomial time.  The
+balance test, a parity union-find over the edges by descending least vertex
+(`_odd_sources`), also bounds the BFS's sources: the edges among the
+vertices above its first contradiction are balanced, so no BFS runs from
+there, and none runs on a balanced host.  Other
 hosts find their witnesses by complete backtracking over vertex sequences
 and host edges.  The defining subtlety there is that an edge used by a
 witness must meet the witness's *entire* vertex set in exactly the two
@@ -36,7 +40,7 @@ counts backtracking nodes, the vertices the reachability tests expand, the
 edges the walk unites and the states its BFSs reach; an exhausted budget
 says how far the search got.  Every returned witness passes
 `verify_witness`, a separate straight-line checker that shares no state
-with the search.
+with the search: it reads only the host's masks.
 """
 
 from __future__ import annotations
@@ -164,12 +168,14 @@ class _System:
 
     def __init__(self, host):
         self.n = host.n_vertices
-        self.support = list(host.support_masks)
-        self.head = list(host.head_masks)
+        self.support = host.support_masks
+        self.head = host.head_masks
         self.inc = inc = [[] for _ in range(self.n)]
-        for eid in range(len(self.support)):
-            for v in host.support(eid):
+        for eid, sup in enumerate(self.support):
+            while sup:  # ids are appended in eid order, whatever the bit order
+                v = sup.bit_length() - 1
                 inc[v].append(eid)
+                sup ^= 1 << v
         self._nb = None
 
     def neighbours(self) -> list[int]:
@@ -456,7 +462,7 @@ def _shortest_split_cycle(sys: _System, budget: _Budget, least: int) -> int | No
         live = [arc for arc in arcs if not arc[0] & gone]
         sources = _odd_sources(n, live)
         if sources:
-            hit = _shortest_odd_closed_walk(n, live, budget, best, sources)
+            hit = _shortest_odd_closed_walk(n, live, sources, budget, best)
             if hit is not None:
                 best = len(hit[0])
                 if best == least:
@@ -486,13 +492,15 @@ def _arc(sys: _System, eid: int, pair: int):
     return pair, eid, a, b, sys.pair_parity(eid, a, b)
 
 
-def _shortest_odd_closed_walk(n: int, arcs, budget: _Budget | None = None,
-                              bound: int | None = None, sources: int | None = None):
+def _shortest_odd_closed_walk(n: int, arcs, sources: int, budget: _Budget | None = None,
+                              bound: int | None = None):
     """Shortest cycle of odd parity in the signed multigraph on the vertices
     0, ..., n - 1 whose edges are `arcs` (as `_arc` gives them), as
     (vertices, edge_ids); None if it has none shorter than `bound`, or none
     whose least vertex is below `sources`.  With a budget, each state
-    reached spends one unit.
+    reached spends one unit.  Both callers pass `_odd_sources`' bound: the
+    graph among the vertices >= that bound is balanced, so a BFS from there
+    finds nothing, and a long ring numbered along itself runs one BFS.
 
     Every edge has two vertices, so every cycle of the host is a partial
     subhypergraph, and the shortest odd-parity closed walk is such a cycle:
@@ -509,8 +517,8 @@ def _shortest_odd_closed_walk(n: int, arcs, budget: _Budget | None = None,
     depth W // 2, so a BFS stops once its depth reaches half the best length
     found, or half `bound`.  A BFS that runs out of states without closing
     any odd walk proves its component among the vertices >= s balanced, and
-    those vertices are not tried as sources.  Bipartite graphs thus cost
-    O(n + m).
+    those vertices are not tried as sources, so a balanced component costs
+    one BFS.
     """
     adj = [[] for _ in range(n)]
     for _, eid, a, b, par in arcs:
@@ -532,7 +540,7 @@ def _shortest_odd_closed_walk(n: int, arcs, budget: _Budget | None = None,
         vs.append(state >> 1)
         return vs[::-1], ids[::-1]
 
-    for s in range(n if sources is None else sources):
+    for s in range(sources):
         if balanced[s]:
             continue
         seen = [2 * s]
@@ -576,10 +584,15 @@ def _shortest_odd_closed_walk(n: int, arcs, budget: _Budget | None = None,
 
 
 def _find_cycle(sys: _System, shortest: int, step: int, budget: _Budget):
-    """Shortest odd-parity cycle of length shortest, shortest + step, ..."""
+    """Shortest odd-parity cycle of length shortest, shortest + step, ...
+
+    A graph host runs the parity BFS only from the sources below
+    `_odd_sources`' bound, and a balanced one none at all: a BFS from a
+    source above it sees a balanced graph, so it would find no odd walk."""
     if sys.is_graph():
         arcs = [_arc(sys, eid, sup) for eid, sup in enumerate(sys.support) if sup.bit_count() == 2]
-        return _shortest_odd_closed_walk(sys.n, arcs)
+        sources = _odd_sources(sys.n, arcs)
+        return _shortest_odd_closed_walk(sys.n, arcs, sources) if sources else None
     return next(_odd_cycles(sys, shortest, step, budget), None)
 
 
@@ -700,13 +713,30 @@ def find_mixed_odd_tree_house(d: MixedHypergraph, max_nodes: int = DEFAULT_SEARC
 # ---------------------------------------------------------------------------
 
 
-def _meets_exactly(host, vt, ids, parts) -> bool:
+def _vertex_bits(host, vertices) -> list[int]:
+    """1 << v for each vertex v, which may be any value that equals an id
+    in range(n), as a set compares it (a numpy integer, say); bit n, which
+    no edge has, for a value that names no vertex."""
+    ids, far = range(host.n_vertices), 1 << host.n_vertices
+    bits = []
+    for v in vertices:
+        try:
+            bits.append(1 << ids.index(v))
+        except ValueError:
+            bits.append(far)
+    return bits
+
+
+def _meets_exactly(host, vt: int, ids, parts) -> bool:
     """True iff `ids` are distinct host edges and edge ids[i] meets the
-    vertex set vt in exactly the vertices parts[i]."""
-    if len(set(ids)) != len(ids) or min(ids) < 0 or max(ids) >= len(host.support_masks):
+    vertex set vt in exactly the vertices parts[i], both sums of
+    `_vertex_bits`; a part with a bit >= n, from a value that names no
+    vertex, never matches."""
+    support = host.support_masks
+    if len(set(ids)) != len(ids) or min(ids) < 0 or max(ids) >= len(support):
         return False
     for eid, part in zip(ids, parts):
-        if vt.intersection(host.support(eid)) != part:
+        if support[eid] & vt != part:
             return False
     return True
 
@@ -715,24 +745,27 @@ def _check_cycle(host, vertices, edge_ids) -> bool:
     k = len(vertices)
     if k < 2 or len(edge_ids) != k or len(set(vertices)) != k:
         return False
-    pairs = [{a, b} for a, b in zip(vertices, vertices[1:] + vertices[:1])]
-    return _meets_exactly(host, frozenset(vertices), edge_ids, pairs)
+    bits = _vertex_bits(host, vertices)
+    pairs = [a | b for a, b in zip(bits, bits[1:] + bits[:1])]
+    return _meets_exactly(host, sum(bits), edge_ids, pairs)
 
 
 def _check_tree_house(host, w) -> bool:
     quad = {w.root, *w.leaves}
     if not len(w.leaves) == len(w.paths) == len(w.path_edge_ids) == 3 or len(quad) != 4:
         return False
-    ids, parts = [w.hyperedge_id], [quad]
+    ids, parts = [w.hyperedge_id], [sum(_vertex_bits(host, quad))]
     for path, path_ids, leaf in zip(w.paths, w.path_edge_ids, w.leaves):
         if (len(path) < 2 or len(path_ids) != len(path) - 1 or path[0] != w.root
                 or path[-1] != leaf or len(set(path)) != len(path)):
             return False
         ids += path_ids
-        parts += [{a, b} for a, b in zip(path, path[1:])]
-    vt = frozenset(v for path in w.paths for v in path)
+        bits = _vertex_bits(host, path)
+        parts += [a | b for a, b in zip(bits, bits[1:])]
+    vt = {v for path in w.paths for v in path}
     # the three paths share only the root
-    return len(vt) == 1 + sum(len(p) - 1 for p in w.paths) and _meets_exactly(host, vt, ids, parts)
+    return (len(vt) == 1 + sum(len(p) - 1 for p in w.paths)
+            and _meets_exactly(host, sum(_vertex_bits(host, vt)), ids, parts))
 
 
 def _path_parity(host, vertices, edge_ids) -> int:
@@ -747,9 +780,13 @@ def _path_parity(host, vertices, edge_ids) -> int:
 def verify_witness(host, w) -> bool:
     """Re-check a certificate against its host; independent of the searches.
 
-    A cycle must have odd parity; each path of a tree house, closed by the
-    size-4 edge, must have even parity.  On an unsigned host every parity
-    is a length, so the cycle is odd and the paths have odd edge counts.
+    It reads only the host's vertex count and its support and head masks,
+    never search state: each witness edge must meet the witness's vertex
+    mask in exactly its pair (or, for the size-4 edge of a tree house, its
+    quad) of vertex bits.  A cycle must have odd parity; each path of a
+    tree house, closed by the size-4 edge, must have even parity.  On an
+    unsigned host every parity is a length, so the cycle is odd and the
+    paths have odd edge counts.
     """
     if type(w) not in _WITNESS_CLASSES.values():
         raise InputError(f"unknown witness type {type(w).__name__}")

@@ -214,3 +214,61 @@ def eulerian_selections_per_u(masks: list[int], n_vertices: int, peel: bool = Tr
                 if bits >> k & 1:
                     combo ^= b
             yield umask, sum(1 << eid for i, (eid, _) in enumerate(cand) if combo >> i & 1)
+
+
+def verify_witness_sets(host, w) -> bool:
+    """The certificate checker as it was before it read bitmasks: each
+    witness edge's support, as a set, meets the witness's vertex set in
+    exactly its pair, or for the size-4 edge of a tree house its quad.  A
+    cycle must have odd parity and each tree-house path, closed by the
+    size-4 edge, even parity (Hypergraph hosts are all-head)."""
+    mixed = "mixed-" if hasattr(host, "arcs") else ""
+    if w.kind == mixed + "odd-cycle":
+        return (_cycle_sets(host, w.vertices, w.edge_ids)
+                and _parity_sum(host, w.vertices, w.edge_ids) % 2 == 1)
+    if w.kind != mixed + "odd-tree-house" or not _tree_house_sets(host, w):
+        return False
+    return all(
+        (_parity_sum(host, path, ids) + _parity_sum(host, (w.root, leaf), (w.hyperedge_id,)))
+        % 2 == 0
+        for path, ids, leaf in zip(w.paths, w.path_edge_ids, w.leaves)
+    )
+
+
+def _meets_exactly_sets(host, vt, ids, parts) -> bool:
+    if len(set(ids)) != len(ids) or min(ids) < 0 or max(ids) >= len(host.support_masks):
+        return False
+    for eid, part in zip(ids, parts):
+        if vt.intersection(host.support(eid)) != part:
+            return False
+    return True
+
+
+def _cycle_sets(host, vertices, edge_ids) -> bool:
+    k = len(vertices)
+    if k < 2 or len(edge_ids) != k or len(set(vertices)) != k:
+        return False
+    pairs = [{a, b} for a, b in zip(vertices, vertices[1:] + vertices[:1])]
+    return _meets_exactly_sets(host, frozenset(vertices), edge_ids, pairs)
+
+
+def _tree_house_sets(host, w) -> bool:
+    quad = {w.root, *w.leaves}
+    if not len(w.leaves) == len(w.paths) == len(w.path_edge_ids) == 3 or len(quad) != 4:
+        return False
+    ids, parts = [w.hyperedge_id], [quad]
+    for path, path_ids, leaf in zip(w.paths, w.path_edge_ids, w.leaves):
+        if (len(path) < 2 or len(path_ids) != len(path) - 1 or path[0] != w.root
+                or path[-1] != leaf or len(set(path)) != len(path)):
+            return False
+        ids += path_ids
+        parts += [{a, b} for a, b in zip(path, path[1:])]
+    vt = frozenset(v for path in w.paths for v in path)
+    return (len(vt) == 1 + sum(len(p) - 1 for p in w.paths)
+            and _meets_exactly_sets(host, vt, ids, parts))
+
+
+def _parity_sum(host, vertices, edge_ids) -> int:
+    k, heads = len(vertices), host.head_masks
+    return sum((heads[eid] >> vertices[t] & 1) == (heads[eid] >> vertices[(t + 1) % k] & 1)
+               for t, eid in enumerate(edge_ids))

@@ -52,6 +52,24 @@ def test_construction_validation():
         MixedHypergraph(("a", "b"), (((0,), (0,)),))
     with pytest.raises(InputError):
         MixedHypergraph(("a",), (((), ()),))
+    # one walk over each edge or arc side checks its ids: integers, strictly
+    # ascending and below n; malformed ones are input errors, not TypeErrors
+    for ids in ((0.0, 1), (None, 1), ("0", "1"), (0, 1.5), (-1, 0), (1, 0), (0, 0), (0, 2),
+                (0, 7)):
+        with pytest.raises(InputError):
+            Hypergraph(("a", "b"), (ids,))
+        with pytest.raises(InputError):
+            MixedHypergraph(("a", "b"), ((ids, ()),))
+        with pytest.raises(InputError):
+            MixedHypergraph(("a", "b"), (((), ids),))
+    with pytest.raises(InputError):
+        MixedHypergraph(("a", "b"), (((0.0,), (1,)),))
+    with pytest.raises(InputError):
+        MixedHypergraph(("a", "b"), ((("0",), ()),))
+    with pytest.raises(InputError):
+        MixedHypergraph(("a", "b"), (((0, 1), (1,)),))
+    with pytest.raises(InputError):
+        MixedHypergraph(("a", "a"), ())
 
 
 def test_parallel_edges_are_distinct_columns():

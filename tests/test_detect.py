@@ -6,6 +6,7 @@ import random
 import sys
 import time
 
+import numpy as np
 import pytest
 
 from tuhyper import core, detect, linalg
@@ -36,7 +37,12 @@ from tuhyper.errors import BudgetExceededError, InputError, NotDisjointError
 from tuhyper.gen import GenConfig, Plant, generate
 
 from _hosts import noisy_tree_house, ring2, ring_with_a_triple
-from _oracles import has_odd_cycle_exhaustive, ocp_exhaustive, shortest_odd_cycle_exhaustive
+from _oracles import (
+    has_odd_cycle_exhaustive,
+    ocp_exhaustive,
+    shortest_odd_cycle_exhaustive,
+    verify_witness_sets,
+)
 
 
 def test_find_odd_cycle_triangle():
@@ -123,6 +129,95 @@ def test_verify_witness_rejects_corrupted_certificates():
     wc = find_odd_cycle(c3)
     assert not verify_witness(c3, OddCycleWitness(wc.vertices, (0, 1, 1)))
     assert not verify_witness(c3, OddCycleWitness((0, 1), wc.edge_ids[:2]))
+
+
+def _corrupted(host, w, rnd):
+    """w and copies of it with vertex ids swapped, repeated, negative, too
+    large, not integers or numpy integers, and edge ids repeated, out of
+    range, not integers or numpy integers."""
+    n, m = host.n_vertices, len(host.support_masks)
+    bad_vertices = (-1, n, n + 7, 2**70, 0.5, "a", None)
+    bad_edges = (-1, m, m + 3, 1.0, 0.5)
+    rep = dataclasses.replace
+    yield w
+    if isinstance(w, (OddCycleWitness, MixedOddCycleWitness)):
+        vs, ids = list(w.vertices), list(w.edge_ids)
+        i, j = rnd.randrange(len(vs)), rnd.randrange(len(vs))
+        for new_vs in ([*vs[:i], vs[j], *vs[i + 1:]], vs[1:] + vs[:1], vs[::-1],
+                       [float(v) for v in vs], [np.int64(v) for v in vs],
+                       [np.int8(v) for v in vs],
+                       *([*vs[:i], b, *vs[i + 1:]] for b in (*bad_vertices, float(vs[i])))):
+            yield rep(w, vertices=tuple(new_vs))
+        swapped = vs[:]
+        swapped[i], swapped[j] = vs[j], vs[i]
+        yield rep(w, vertices=tuple(swapped))
+        yield rep(w, vertices=tuple(vs[:-1]), edge_ids=tuple(ids[:-1]))
+        for new_ids in ([*ids[:i], ids[j], *ids[i + 1:]], [np.int64(e) for e in ids],
+                        *([*ids[:i], b, *ids[i + 1:]] for b in bad_edges)):
+            yield rep(w, edge_ids=tuple(new_ids))
+        return
+    p = rnd.randrange(3)
+    t = rnd.randrange(len(w.paths[p]))
+    for b in (*bad_vertices, float(w.paths[p][t]), np.int64(w.paths[p][t])):
+        paths = [list(q) for q in w.paths]
+        paths[p][t] = b
+        yield rep(w, paths=tuple(map(tuple, paths)))
+        leaves = list(w.leaves)
+        leaves[p] = b if t == len(paths[p]) - 1 else leaves[p]
+        yield rep(w, paths=tuple(map(tuple, paths)), leaves=tuple(leaves),
+                  root=b if t == 0 else w.root)
+    for f in (np.int64, float):
+        yield rep(w, root=f(w.root), leaves=tuple(map(f, w.leaves)),
+                  paths=tuple(tuple(map(f, q)) for q in w.paths))
+    yield rep(w, leaves=w.leaves[1:] + w.leaves[:1])
+    yield rep(w, paths=w.paths[1:] + w.paths[:1])
+    if len(w.paths[p]) > 2:  # a path through another path's root, or reordered
+        paths = [list(q) for q in w.paths]
+        paths[p][1] = w.paths[(p + 1) % 3][-1]
+        yield rep(w, paths=tuple(map(tuple, paths)))
+        paths = [list(q) for q in w.paths]
+        paths[p][1], paths[p][-2] = paths[p][-2], paths[p][1]
+        yield rep(w, paths=tuple(map(tuple, paths)))
+    for b in (*bad_edges, np.int64(w.hyperedge_id), w.path_edge_ids[p][0]):
+        yield rep(w, hyperedge_id=b)
+        ids = [list(q) for q in w.path_edge_ids]
+        ids[p][0] = b
+        yield rep(w, path_edge_ids=tuple(map(tuple, ids)))
+
+
+def _answer(check, host, w):
+    """What check(host, w) returns, with its type, or the type it raises."""
+    try:
+        got = check(host, w)
+    except Exception as exc:  # noqa: BLE001 - the exception type is the answer
+        return type(exc)
+    return type(got), got
+
+
+def test_verify_witness_agrees_with_the_set_based_checker():
+    rnd = random.Random(20)
+    plants = {False: (Plant("odd-cycle", length=5), Plant("odd-cycle", length=7),
+                      Plant("odd-tree-house", path_lengths=(1, 3, 3))),
+              True: (Plant("mixed-odd-cycle", length=2), Plant("mixed-odd-cycle", length=5),
+                     Plant("mixed-odd-tree-house", path_lengths=(1, 2, 3)))}
+    checked = valid = 0
+    for seed in range(120):
+        mixed = seed % 2 == 1
+        try:
+            host, planted = generate(GenConfig(
+                seed=70_000 + seed, n_vertices=8 + seed % 5, n_small_edges=seed % 6,
+                proper_edge_sizes=((), (3,), (4,), (4, 3))[seed % 4], mixed=mixed,
+                plant=plants[mixed][seed % 3]))
+        except InputError:
+            continue
+        found = _decide(host, DEFAULT_SEARCH_BUDGET).witness
+        for w in dict.fromkeys((planted, found)):
+            for bad in _corrupted(host, w, rnd):
+                want = _answer(verify_witness_sets, host, bad)
+                assert _answer(verify_witness, host, bad) == want, (seed, bad)
+                checked += 1
+                valid += want == (bool, True)
+    assert checked > 4000 and 300 < valid < checked / 2
 
 
 def test_decide_examples():
@@ -317,6 +412,18 @@ def test_graph_hosts_scale_past_the_recursion_limit():
     start = time.perf_counter()
     assert decide_unimodular_disjoint(grid).tu
     assert time.perf_counter() - start < 1.0
+
+
+def test_a_long_ring_numbered_along_itself_runs_one_bfs():
+    # `_odd_sources` bounds the parity BFS's sources to vertex 0 here; a BFS
+    # from every vertex took seconds
+    n = 4001
+    ring = Hypergraph(tuple(f"v{i}" for i in range(n)),
+                      tuple((i, i + 1) for i in range(n - 1)) + ((0, n - 1),))
+    start = time.perf_counter()
+    w = find_odd_cycle(ring)
+    assert time.perf_counter() - start < 0.5
+    assert w.vertices == tuple(range(n)) or w.vertices == (0, *range(n - 1, 0, -1))
 
 
 def test_unsigned_decision_is_the_all_head_mixed_decision():

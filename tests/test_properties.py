@@ -1,9 +1,10 @@
 """Property tests over seeded disjoint hosts: the decision does not depend on
 how vertices and edges are numbered, nor on row and column signs of a mixed
-host, nor on the split walk that ends the odd-cycle passes early; a
-duplicated edge changes neither the decision nor Delta; and every witness
-survives a round trip through JSON.  A fuzz over damaged instance documents
-checks that the CLI's exit code keeps its meaning."""
+host, nor on the split walk that ends the odd-cycle passes early, nor on
+the bound on a graph host's BFS sources; a duplicated edge changes neither
+the decision nor Delta; and every witness survives a round trip through
+JSON.  A fuzz over damaged instance documents checks that the CLI's exit
+code keeps its meaning."""
 
 import contextlib
 import io
@@ -148,6 +149,34 @@ def test_decision_is_the_same_without_the_absence_proof(host):
     with mock.patch.object(detect, "_split_cost", lambda sys, cap: cap + 1):
         passes_only = detect._decide(host, detect.DEFAULT_SEARCH_BUDGET)
     assert detect._decide(host, detect.DEFAULT_SEARCH_BUDGET) == passes_only
+
+
+@st.composite
+def signed_graphs(draw):
+    """Graph hosts, unsigned or signed (each arc with both ends on one side
+    or one on each), half of them with a ring numbered along itself."""
+    n = draw(st.integers(2, 40))
+    ends = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(ends, ends).filter(lambda p: p[0] != p[1]),
+                          max_size=2 * n))
+    if draw(st.booleans()):
+        pairs = [(i, (i + 1) % n) for i in range(n)] + pairs
+    names = [f"v{i}" for i in range(n)]
+    if not draw(st.booleans()):
+        return core.Hypergraph.from_names(names, [[names[a], names[b]] for a, b in pairs])
+    sides = draw(st.lists(st.integers(0, 2), min_size=len(pairs), max_size=len(pairs)))
+    return core.MixedHypergraph.from_names(names, [
+        ([names[a], names[b]], []) if side == 0 else ([names[a]], [names[b]]) if side == 1
+        else ([], [names[a], names[b]]) for (a, b), side in zip(pairs, sides)])
+
+
+@BOUNDED
+@given(host=signed_graphs())
+def test_graph_witness_is_the_same_without_the_source_bound(host):
+    # a bound of n runs the parity BFS from every source
+    with mock.patch.object(detect, "_odd_sources", lambda n, arcs: n):
+        every_source = detect._search(host, detect.DEFAULT_SEARCH_BUDGET, tree_house=False)
+    assert detect._search(host, detect.DEFAULT_SEARCH_BUDGET, tree_house=False) == every_source
 
 
 JUNK = st.recursive(st.none() | st.booleans() | st.integers(-3, 3) | st.floats()
