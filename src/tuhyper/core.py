@@ -60,7 +60,7 @@ def _name_index(names) -> dict:
 
 def _ids_mask(ids, n: int, what: str, i: int) -> int:
     """Bitmask of the vertex ids `ids` of member i (`what`: "edge", "arc"),
-    checked in the same walk: integers, strictly ascending, below n."""
+    checked in the same walk: Python integers, strictly ascending, below n."""
     mask, prev = 0, -1
     try:
         for v in ids:
@@ -69,8 +69,10 @@ def _ids_mask(ids, n: int, what: str, i: int) -> int:
                                  f"in range({n})")
             mask |= 1 << v  # raises TypeError unless v is an integer
             prev = v
-    except TypeError:
-        raise InputError(f"{what} {i} holds a vertex id that is not an integer") from None
+    except (TypeError, OverflowError):  # OverflowError: a numpy id past 63 bits
+        mask = None
+    if type(mask) is not int:  # a numpy id makes a numpy mask, which wraps
+        raise InputError(f"{what} {i} holds a vertex id that is not a Python integer")
     return mask
 
 

@@ -366,19 +366,26 @@ class CamionResult:
 # The walk filters vertex sets a block at a time.  Blocks grow from the first
 # size to the cap, so a walk that stops at a small |U| pays for one or two.
 _FIRST_BLOCK, _BLOCK_CAP = 64, 2048
-# Up to _TABLE_BITS the blocks are slices of one cached table: unranking every
-# block, with blocks spanning popcounts, made extract-witness 1.7x slower.
+# Up to _TABLE_BITS the blocks are slices of one cached bit-sliced table;
+# slicing the whole lattice in one block made dense hosts' first selection 2-5x slower.
 _TABLE_BITS = 16
 _MAX_WALK_BITS = 63  # subset masks are int64
 
 
+def _sliced(masks: np.ndarray, n: int) -> list[bytes]:
+    """int64 masks over range(n), bit-sliced: bit r of the i-th string, read
+    as a little-endian int, is set when masks[r] holds i."""
+    bits = np.unpackbits(masks.astype("<i8").view(np.uint8).reshape(-1, 8), axis=1,
+                         bitorder="little")
+    rows = np.packbits(bits[:, :n].T, axis=1, bitorder="little")
+    return [row.tobytes() for row in rows]
+
+
 @functools.lru_cache(maxsize=_TABLE_BITS + 1)
-def _masks_by_popcount(n: int) -> np.ndarray:
-    """Nonempty subsets of range(n) as int64 masks, by popcount, then by value."""
+def _sliced_by_popcount(n: int) -> tuple[bytes, ...]:
+    """Nonempty subsets of range(n) by popcount, then value, bit-sliced (128 KB at 16)."""
     masks = np.arange(1, 1 << n, dtype=np.int64)
-    masks = masks[np.argsort(np.bitwise_count(masks), kind="stable")]
-    masks.setflags(write=False)
-    return masks
+    return tuple(_sliced(masks[np.argsort(np.bitwise_count(masks), kind="stable")], n))
 
 
 @functools.lru_cache(maxsize=_MAX_WALK_BITS + 1)
@@ -410,25 +417,29 @@ def _unrank(n: int, k: int, start: int, stop: int) -> np.ndarray:
 
 
 def _mask_blocks(n: int):
-    """The nonempty subsets of range(n) as int64 masks, by popcount, then by
-    value, in blocks of 64, 128, ... up to 2,048 masks.
+    """The nonempty subsets of range(n) by popcount, then by value, in blocks
+    of 64, 128, ... up to 2,048 sets, as (member, count): bit r of member[i]
+    is set when the block's r-th set holds i.
 
-    Up to 16 bits the blocks are slices of one cached table of at most
-    512 KB and run across popcounts, so a short walk costs one or two
-    blocks, not one per popcount.  Above, each popcount comes in blocks of
-    its own, unranked on demand, so memory stays independent of 2^n.
+    Up to 16 bits they are slices of one cached table and run across
+    popcounts, so a short walk costs one or two blocks.  Above, each popcount
+    has blocks of its own, unranked on demand, so memory is not 2^n.
     """
     if n <= _TABLE_BITS:
-        table = _masks_by_popcount(n)
-        layers = [(len(table), lambda a, b: table[a:b])]
+        table = _sliced_by_popcount(n)
+        # block bounds are multiples of 64 but the table's end, past which rows pad with 0
+        layers = [((1 << n) - 1, lambda a, b: [int.from_bytes(row[a >> 3:b + 7 >> 3], "little")
+                                               for row in table])]
     else:
-        layers = [(math.comb(n, k), functools.partial(_unrank, n, k)) for k in range(1, n + 1)]
+        layers = [(math.comb(n, k), lambda a, b, k=k: [int.from_bytes(row, "little") for row
+                                                       in _sliced(_unrank(n, k, a, b), n)])
+                  for k in range(1, n + 1)]
     size = _FIRST_BLOCK
     for total, take in layers:
         start = 0
         while start < total:
             stop = min(start + size, total)
-            yield take(start, stop)
+            yield take(start, stop), stop - start
             start, size = stop, min(2 * size, _BLOCK_CAP)
 
 
@@ -498,11 +509,12 @@ def _eulerian_selections(masks: list[int], n_vertices: int, guard: int,
     at the same relative place.  `guard` bounds |P|, and so does 63.
     Without `peel`, P is all of range(n_vertices) and no U is skipped.
 
-    The sets U are filtered in numpy blocks of `_mask_blocks`: one int64
-    array holds the trace of every edge on every U of a block, the odd
-    traces are zeroed, and a bitwise-or scan down the edges gives the
-    vertices of each U on two admissible edges.  Only the U that pass go
-    through the nullspace in Python.
+    The sets U are filtered in bit-sliced blocks of `_mask_blocks`: bit r of
+    member[i] says whether the r-th U of the block holds vertex i.  Over an
+    edge's vertices, the XOR of member[i] marks the U its trace is odd on and
+    the OR those it meets, so a few Python-int operations per edge mark where
+    it is admissible, and a once/twice scan over each vertex's edges tests
+    every U of the block at once.  Only the U that pass are decoded.
     """
     core = _core_vertices(masks, n_vertices) if peel else (1 << n_vertices) - 1
     verts = list(_bits(core))
@@ -516,24 +528,40 @@ def _eulerian_selections(masks: list[int], n_vertices: int, guard: int,
     eids = [eid for eid, m in enumerate(masks) if (m & core).bit_count() >= 2]
     if not eids:
         return
-    # The walk runs over the subsets c of range(|P|), bit i of c standing for
-    # vertex verts[i], which keeps their order.  comp holds the edges
-    # compressed the same way.  Compressing keeps the order of the bits, so
-    # the nullspace of the compressed traces has the same basis.
-    comp = np.array([sum(1 << i for i, v in enumerate(verts) if masks[e] >> v & 1)
-                     for e in eids], dtype=np.int64)
-    for block in _mask_blocks(len(verts)):
-        traces = comp[:, None] & block
-        traces *= (np.bitwise_count(traces) & 1) ^ 1  # zero the odd traces
+    # blocks index vertices by position in verts; ends and inc do the same
+    pos = {v: i for i, v in enumerate(verts)}
+    ends = [[pos[v] for v in _bits(masks[e] & core)] for e in eids]
+    inc = [[] for _ in verts]
+    for j, vs in enumerate(ends):
+        for i in vs:
+            inc[i].append(j)
+    vbits = [1 << v for v in verts]
+    for member, _ in _mask_blocks(len(verts)):
+        adm = []  # bit r: the edge's trace on the r-th U is even and nonempty
+        keep = 0  # the U with an admissible edge
+        for vs in ends:
+            odd = some = 0
+            for i in vs:
+                odd ^= member[i]
+                some |= member[i]
+            adm.append(some & ~odd)
+            keep |= adm[-1]
         if peel:
-            seen = np.bitwise_or.accumulate(traces, axis=0)
-            twice = np.bitwise_or.reduce(seen[:-1] & traces[1:], axis=0)
-            keep = np.flatnonzero(twice == block)
-        else:
-            keep = np.flatnonzero(traces.any(axis=0))
-        for c, col in zip(block[keep].tolist(), traces[:, keep].T.tolist()):
-            umask = sum(1 << verts[i] for i in _bits(c))
-            cand = [(eids[i], t) for i, t in enumerate(col) if t]
+            for i, m in enumerate(member):
+                once = twice = 0
+                for j in inc[i]:
+                    twice |= once & adm[j]
+                    once |= adm[j]
+                keep &= twice | ~m
+        while keep:
+            low = keep & -keep
+            keep ^= low
+            umask = 0
+            for vbit, m in zip(vbits, member):
+                if m & low:
+                    umask |= vbit
+            cand = [(eid, t) for eid in eids
+                    if (t := masks[eid] & umask) and not t.bit_count() & 1]
             basis = _gf2_nullspace([t for _, t in cand])
             # moving candidate bits onto their distinct edge ids is linear
             # over GF(2), so it commutes with the XORs below

@@ -70,6 +70,19 @@ def test_construction_validation():
         MixedHypergraph(("a", "b"), (((0, 1), (1,)),))
     with pytest.raises(InputError):
         MixedHypergraph(("a", "a"), ())
+    # numpy integer ids would make numpy masks, which wrap past 63 vertices
+    for t in (np.int64, np.int8, np.uint8, np.bool_):
+        for ids in ((t(0), t(1)), (0, t(1))):
+            with pytest.raises(InputError, match="not a Python integer"):
+                Hypergraph(("a", "b"), (ids,))
+            with pytest.raises(InputError, match="not a Python integer"):
+                MixedHypergraph(("a", "b"), ((ids, ()),))
+            with pytest.raises(InputError, match="not a Python integer"):
+                MixedHypergraph(("a", "b"), (((), ids),))
+    with pytest.raises(InputError, match="edge 2 holds a vertex id that is not a Python"):
+        Hypergraph(("a", "b", "c"), ((0, 1), (1, 2), (0, np.int64(2))))
+    with pytest.raises(InputError, match="not a Python integer"):
+        Hypergraph(tuple(f"v{i}" for i in range(100)), ((0, 80, np.int64(90)),))
 
 
 def test_parallel_edges_are_distinct_columns():

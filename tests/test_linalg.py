@@ -12,8 +12,9 @@ import pytest
 from tuhyper import cli, core, detect, linalg
 from tuhyper.errors import InputError, PreconditionError, SizeGuardError
 from tuhyper.extract import find_eulerian_core
-from tuhyper.gen import GenConfig, Xoshiro256StarStar, generate
+from tuhyper.gen import GenConfig, Plant, Xoshiro256StarStar, generate
 
+from _hosts import bipartite_with_c9
 from _oracles import (delta_exhaustive, det_cofactor, eulerian_selections_per_u, is_tu_cofactor,
                       masks_by_size_then_value, next_same_popcount)
 
@@ -264,9 +265,11 @@ def test_camion_mixed_agrees_with_bruteforce_small_corpus():
 
 def test_subset_masks_come_by_size_then_value():
     # blocks of 64, 128, ... up to 2,048 masks: slices of one table across
-    # popcounts up to 16 bits, one popcount per block above
+    # popcounts up to 16 bits, one popcount per block above; each block is
+    # bit-sliced, bit r of member[i] set when its r-th mask holds i
     for n in list(range(13)) + [16, 17, 18]:
-        blocks = [b.tolist() for b in linalg._mask_blocks(n)]
+        blocks = [[sum(1 << i for i, m in enumerate(member) if m >> r & 1) for r in range(count)]
+                  for member, count in linalg._mask_blocks(n)]
         assert [m for b in blocks for m in b] == list(masks_by_size_then_value(n)), n
         for i, b in enumerate(blocks):
             last = i + 1 == len(blocks)
@@ -320,6 +323,56 @@ def test_block_walk_matches_the_per_u_reference():
         if peel:
             peeled_sizes.add(linalg._core_vertices(masks, n).bit_count())
     assert whole >= 20 and peeled_sizes >= {0, 3, 8, 12, 16, 17, 18}
+
+
+def _padded_house(lens, n, seed):
+    """Edge masks of a planted odd tree house with pendant edges up to n
+    vertices, which peeling removes."""
+    g, _ = generate(GenConfig(seed=seed, n_vertices=1 + sum(lens),
+                              plant=Plant("odd-tree-house", path_lengths=lens)))
+    rng = random.Random(seed)
+    return list(g.edge_masks) + [1 << rng.randrange(v) | 1 << v
+                                 for v in range(g.n_vertices, n)], n
+
+
+def test_whole_walks_to_16_vertices_and_first_layers_to_20_match_the_per_u_reference():
+    # Whole walks at |P| = 14, 15 and 16 run through every block of the
+    # cached table, the last one short; at 19 and 20 the first layers come
+    # in unranked blocks.  Blocks hold no bit past their count.
+    for n in (14, 16, 19, 20):
+        assert all(m >> count == 0 for member, count in linalg._mask_blocks(n) for m in member)
+    rng = random.Random(2024)
+    sparse = [([sum(1 << v for v in rng.sample(range(n), rng.choice((2, 2, 3))))
+                for _ in range(n + rng.randrange(4))], n) for n in (14, 15, 16)]
+    hosts = ([([1 << i | 1 << (i + 1) % n for i in range(n)], n) for n in (14, 15, 16)]
+             + [_padded_house((3, 3, 5), n, 25_000 + n) for n in (14, 15, 16)]
+             + [_padded_house((3, 5, 5), n, 25_100 + n) for n in (14, 16)] + sparse)
+    sizes = set()
+    for masks, n in hosts:
+        for peel in (True, False):
+            want = list(eulerian_selections_per_u(masks, n, peel))
+            assert list(linalg._eulerian_selections(masks, n, 63, peel)) == want, (n, peel)
+            sizes.add(linalg._core_vertices(masks, n).bit_count() if peel else n)
+    assert sizes >= {14, 15, 16}
+    small = lambda sel: sel[0].bit_count() <= 4
+    for n in (19, 20):
+        for seed in range(3):
+            rng = random.Random(seed)
+            masks = [1 << i | 1 << (i + 1) % n for i in range(n)] + [
+                sum(1 << v for v in rng.sample(range(n), rng.choice((2, 3, 4))))
+                for _ in range(n // 2)]
+            for peel in (True, False):
+                got = list(itertools.takewhile(small, linalg._eulerian_selections(
+                    masks, n, 63, peel)))
+                assert got == list(eulerian_selections_per_u(masks, n, peel, 4)), (n, seed, peel)
+            assert linalg._core_vertices(masks, n).bit_count() == n
+    # |P| = 20: the walk passes every set of up to nine of those vertices
+    # before the C9, the smallest core by construction
+    g = bipartite_with_c9(14, 20)
+    assert linalg._core_vertices(g.edge_masks, g.n_vertices).bit_count() == 20
+    c = find_eulerian_core(g, max_vertices=20)
+    assert [g.names[v] for v in c.vmap] == [f"c{i}" for i in range(9)]
+    assert c.emap == tuple(range(20, 29))
 
 
 def test_walk_refuses_more_than_63_vertices_at_any_guard():
