@@ -301,6 +301,10 @@ def _selftest_checks():
                    cls5.kind == "mixed-odd-tree-house"))
     m5 = core.incidence_matrix(fig5)
     checks.append(("fig5 |det| = 2", abs(linalg.det_exact(m5)) == 2))
+    cam5 = linalg.camion_unimodular_mixed(fig5)
+    checks.append(("fig5 entry-sum witness is square with value 2 mod 4",
+                   not cam5.unimodular and cam5.value % 4 == 2
+                   and len(cam5.witness.vertices) == len(cam5.witness.edge_ids)))
     r5 = mixed.build_r_matrix(fig5)
     prod = m5 @ r5
     checks.append(("fig5 R is TU and A R an unbalanced hole",

@@ -771,10 +771,11 @@ def _check_tree_house(host, w) -> bool:
 def _path_parity(host, vertices, edge_ids) -> int:
     """Sum over edge_ids[t] of its parity restricted to {vertices[t],
     vertices[t + 1]} (cyclically): 1 iff both lie on one side of the arc.
-    An unsigned host is all-head, so there every restricted parity is 1."""
-    k, heads = len(vertices), host.head_masks
-    return sum((heads[eid] >> vertices[t] & 1) == (heads[eid] >> vertices[(t + 1) % k] & 1)
-               for t, eid in enumerate(edge_ids))
+    An unsigned host is all-head, so there every restricted parity is 1.
+    The vertices are read through `_vertex_bits`, so any id type works."""
+    bits, heads = _vertex_bits(host, vertices), host.head_masks
+    return sum((not heads[eid] & a) == (not heads[eid] & b)
+               for eid, a, b in zip(edge_ids, bits, bits[1:] + bits[:1]))
 
 
 def verify_witness(host, w) -> bool:
@@ -798,11 +799,9 @@ def verify_witness(host, w) -> bool:
                 and _path_parity(host, w.vertices, w.edge_ids) % 2 == 1)
     if type(w) is not kind.tree_house or not _check_tree_house(host, w):
         return False
-    return all(
-        (_path_parity(host, path, ids) + _path_parity(host, (w.root, leaf), (w.hyperedge_id,)))
-        % 2 == 0
-        for path, ids, leaf in zip(w.paths, w.path_edge_ids, w.leaves)
-    )
+    # a path runs from the root to its leaf, so the size-4 edge closes it cyclically
+    return all(_path_parity(host, path, (*ids, w.hyperedge_id)) % 2 == 0
+               for path, ids in zip(w.paths, w.path_edge_ids))
 
 
 def witness_to_dict(host, w) -> dict:

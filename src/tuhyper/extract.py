@@ -26,7 +26,7 @@ from .detect import (
     verify_witness,
 )
 from .errors import InternalConsistencyError, PreconditionError
-from .linalg import _eulerian_selections
+from .linalg import _first_core
 from .quasi import _closed_walk_parity, conflicts
 
 __all__ = [
@@ -64,8 +64,8 @@ def _step(step: str):
 
 @dataclass(frozen=True)
 class EulerianCore:
-    """An Eulerian selection with |V| = |E|, support = 2 mod 4, no isolated
-    vertices, realized as a standalone hypergraph plus maps into the parent."""
+    """The selection of `linalg._first_core`, realized as a standalone
+    hypergraph plus maps into the parent."""
 
     sub: Hypergraph
     vmap: tuple[int, ...]
@@ -73,31 +73,18 @@ class EulerianCore:
 
 
 def find_eulerian_core(g: Hypergraph, max_vertices: int = 16) -> EulerianCore:
-    """Smallest Eulerian selection witnessing non-unimodularity by support count.
-
-    A core covers its vertex set, so only the vertices left by degree-2
-    peeling can be in it (see `linalg._core_vertices` for why), and
-    `max_vertices` bounds their number, not the host's: pendant trees and
-    isolated vertices cost nothing.
+    """First Eulerian selection witnessing non-unimodularity by support
+    count, as `linalg._first_core` finds it; `max_vertices` bounds the
+    vertices left by peeling, so pendant trees and isolated vertices cost
+    nothing.
     """
     _expect(g, Hypergraph)
-    masks = list(g.edge_masks)
-    for umask, fmask in _eulerian_selections(masks, g.n_vertices, max_vertices):
-        if fmask.bit_count() != umask.bit_count():
-            continue
-        us = tuple(_bits(umask))
-        fs = tuple(_bits(fmask))
-        covered = 0
-        supp = 0
-        for eid in fs:
-            trace = masks[eid] & umask
-            covered |= trace
-            supp += trace.bit_count()
-        if covered != umask or supp % 4 != 2:
-            continue
-        # every chosen edge meets U, so induce keeps all of them, in order
-        return EulerianCore(induce(g, SubSelection(us, fs)).sub, us, fs)
-    raise PreconditionError("input is unimodular: no support-violating Eulerian selection")
+    core = _first_core(g.edge_masks, (0,) * g.n_edges, g.n_vertices, max_vertices)
+    if core is None:
+        raise PreconditionError("input is unimodular: no support-violating Eulerian selection")
+    us, fs = tuple(_bits(core[0])), tuple(_bits(core[1]))
+    # every chosen edge meets U, so induce keeps all of them, in order
+    return EulerianCore(induce(g, SubSelection(us, fs)).sub, us, fs)
 
 
 def _remap_witness(w, vmap, emap):
@@ -657,7 +644,7 @@ def extract_witness(g: Hypergraph, max_nodes: int = DEFAULT_SEARCH_BUDGET,
 
     `max_vertices` bounds, at every level of the recursion, the vertices
     that survive degree-2 peeling (the only ones an Eulerian core can use,
-    see `find_eulerian_core`); larger peeled sets raise SizeGuardError.
+    see `linalg._core_vertices`); larger peeled sets raise SizeGuardError.
     """
     _expect(g, Hypergraph)
     if not is_disjoint(g):

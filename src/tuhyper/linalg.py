@@ -490,8 +490,7 @@ def _core_vertices(masks: list[int], n: int) -> int:
         alive = twice
 
 
-def _eulerian_selections(masks: list[int], n_vertices: int, guard: int,
-                         peel: bool = True):
+def _eulerian_selections(masks: list[int], n_vertices: int, guard: int):
     """Yield (umask, edge_subset_mask) for Eulerian selections, smallest U first.
 
     `masks` are the vertex masks of the hyperedge supports.  Vertex sets U
@@ -501,13 +500,12 @@ def _eulerian_selections(masks: list[int], n_vertices: int, guard: int,
     is even and nonempty; they come in the order of the nonzero
     combinations of that nullspace's basis.
 
-    With `peel` (the default) only the selections that can cover U are
-    sought: U runs over the subsets of the peeled set P of `_core_vertices`,
-    and a U with a vertex on fewer than two admissible edges is skipped
-    (no F covers it).  The output is then the full walk's with those U
-    removed, and every selection (U, F) in which F covers U is still in it,
-    at the same relative place.  `guard` bounds |P|, and so does 63.
-    Without `peel`, P is all of range(n_vertices) and no U is skipped.
+    Only the selections that can cover U are sought: U runs over the
+    subsets of the peeled set P of `_core_vertices`, and a U with a vertex
+    on fewer than two admissible edges is skipped (no F covers it).  The
+    output is then the walk over all vertex sets with those U removed, and
+    every selection (U, F) in which F covers U is still in it, at the same
+    relative place.  `guard` bounds |P|, and so does 63.
 
     The sets U are filtered in bit-sliced blocks of `_mask_blocks`: bit r of
     member[i] says whether the r-th U of the block holds vertex i.  Over an
@@ -516,13 +514,12 @@ def _eulerian_selections(masks: list[int], n_vertices: int, guard: int,
     it is admissible, and a once/twice scan over each vertex's edges tests
     every U of the block at once.  Only the U that pass are decoded.
     """
-    core = _core_vertices(masks, n_vertices) if peel else (1 << n_vertices) - 1
+    core = _core_vertices(masks, n_vertices)
     verts = list(_bits(core))
     if len(verts) > min(guard, _MAX_WALK_BITS):
-        counted = "vertices left by peeling" if peel else "vertices"
         raise SizeGuardError(
-            f"desk-scale exceeded: {len(verts)} {counted} > {min(guard, _MAX_WALK_BITS)} "
-            "for the Eulerian-subhypergraph enumeration"
+            f"desk-scale exceeded: {len(verts)} vertices left by peeling > "
+            f"{min(guard, _MAX_WALK_BITS)} for the Eulerian-subhypergraph enumeration"
         )
     # an edge with fewer than two vertices in P is never admissible
     eids = [eid for eid, m in enumerate(masks) if (m & core).bit_count() >= 2]
@@ -546,13 +543,12 @@ def _eulerian_selections(masks: list[int], n_vertices: int, guard: int,
                 some |= member[i]
             adm.append(some & ~odd)
             keep |= adm[-1]
-        if peel:
-            for i, m in enumerate(member):
-                once = twice = 0
-                for j in inc[i]:
-                    twice |= once & adm[j]
-                    once |= adm[j]
-                keep &= twice | ~m
+        for i, m in enumerate(member):
+            once = twice = 0
+            for j in inc[i]:
+                twice |= once & adm[j]
+                once |= adm[j]
+            keep &= twice | ~m
         while keep:
             low = keep & -keep
             keep ^= low
@@ -571,6 +567,33 @@ def _eulerian_selections(masks: list[int], n_vertices: int, guard: int,
                 for k in _bits(combo_bits):
                     fmask ^= fbasis[k]
                 yield umask, fmask
+
+
+def _first_core(heads: tuple[int, ...], tails: tuple[int, ...], n_vertices: int, guard: int):
+    """(umask, fmask, total) of the first selection (U, F) of the peeled walk
+    with |F| = |U|, F covering U and entry sum 2 mod 4, or None.  The entry
+    sum total is the sum over arcs a in F of |head_a & U| - |tail_a & U|; an
+    unsigned host passes all-zero tails, so there it is the support count.
+    `guard` bounds the vertices left by peeling.
+
+    Such a selection exists iff the matrix is not totally unimodular
+    (Camion 1965; Schrijver 1986, ch. 19).  Its rows U and columns F form
+    an Eulerian square submatrix with entry sum 2 mod 4, which is not TU.
+    Conversely, a minimally non-TU square submatrix has |det| = 2, is
+    Eulerian, has entry sum 2 mod 4 and no zero row or column: its columns
+    cover its rows, so the peeled walk of `_eulerian_selections` yields it.
+    """
+    supports = [h | t for h, t in zip(heads, tails)]
+    for umask, fmask in _eulerian_selections(supports, n_vertices, guard):
+        if fmask.bit_count() != umask.bit_count():
+            continue
+        covered = total = 0
+        for a in _bits(fmask):
+            covered |= supports[a] & umask
+            total += (heads[a] & umask).bit_count() - (tails[a] & umask).bit_count()
+        if covered == umask and total % 4 == 2:
+            return umask, fmask, total
+    return None
 
 
 def camion_unimodular(g: Hypergraph, max_vertices: int = 16) -> CamionResult:
@@ -597,33 +620,13 @@ def camion_unimodular(g: Hypergraph, max_vertices: int = 16) -> CamionResult:
 
 
 def camion_unimodular_mixed(d: MixedHypergraph, max_vertices: int = 16) -> CamionResult:
-    """Entry-sum unimodularity test for mixed hypergraphs.
-
-    The matrix is totally unimodular iff every Eulerian partial subhypergraph
-    with as many vertices as arcs has entry sum divisible by four.  Arcs with
-    empty trace in U act as zero columns and may pad the selection to make it
-    square.  Those zero rows are why this test walks every vertex subset
-    (a first violating selection might leave a vertex of U uncovered), so
-    `max_vertices` bounds the host's vertex count.
+    """Entry-sum unimodularity test for mixed hypergraphs: the witness is
+    the selection of `_first_core` (see there for why it decides total
+    unimodularity), and `max_vertices` bounds the vertices left by peeling.
     """
     _expect(d, MixedHypergraph)
-    supports = list(d.support_masks)
-    heads = list(d.head_masks)
-    tails = list(d.tail_masks)
-    for umask, fmask in _eulerian_selections(supports, d.n_vertices, max_vertices,
-                                             peel=False):
-        chosen = tuple(_bits(fmask))
-        u_size = umask.bit_count()
-        zero_arcs = [a for a in range(d.n_arcs) if supports[a] & umask == 0]
-        if not (len(chosen) <= u_size <= len(chosen) + len(zero_arcs)):
-            continue
-        total = sum(
-            (heads[a] & umask).bit_count() - (tails[a] & umask).bit_count()
-            for a in chosen
-        )
-        if total % 4 != 0:
-            pad = tuple(zero_arcs[: u_size - len(chosen)])
-            sel = SubSelection(tuple(_bits(umask)), tuple(sorted(chosen + pad)))
-            return CamionResult(False, sel, total)
-    return CamionResult(True, None, None)
-
+    core = _first_core(d.head_masks, d.tail_masks, d.n_vertices, max_vertices)
+    if core is None:
+        return CamionResult(True, None, None)
+    umask, fmask, total = core
+    return CamionResult(False, SubSelection(tuple(_bits(umask)), tuple(_bits(fmask))), total)

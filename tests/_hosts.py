@@ -56,6 +56,8 @@ def bipartite_with_c9(n_b: int = 18, n_pairs: int = 28, seed: int = 1) -> Hyperg
     with the defaults)."""
     rnd = random.Random(seed)
     across = [(a, b) for a in range(n_b) for b in range(a + 1, n_b) if (b - a) % 2]
+    if not 0 <= n_pairs <= len(across):
+        raise ValueError(f"n_pairs must be in 0..{len(across)} for n_b = {n_b}, got {n_pairs}")
     edges = [[f"b{a}", f"b{b}"] for a, b in sorted(rnd.sample(across, n_pairs))]
     edges += [[f"c{i}", f"c{(i + 1) % 9}"] for i in range(9)] + [["b0", "c0"]]
     return Hypergraph.from_names([f"b{i}" for i in range(n_b)] + [f"c{i}" for i in range(9)],

@@ -217,11 +217,12 @@ def eulerian_selections_per_u(masks: list[int], n_vertices: int, peel: bool = Tr
 
 
 def verify_witness_sets(host, w) -> bool:
-    """The certificate checker as it was before it read bitmasks: each
-    witness edge's support, as a set, meets the witness's vertex set in
-    exactly its pair, or for the size-4 edge of a tree house its quad.  A
-    cycle must have odd parity and each tree-house path, closed by the
-    size-4 edge, even parity (Hypergraph hosts are all-head)."""
+    """The certificate checker on sets instead of bitmasks: each witness
+    edge's support, as a set, meets the witness's vertex set in exactly its
+    pair, or for the size-4 edge of a tree house its quad.  A cycle must
+    have odd parity and each tree-house path, closed by the size-4 edge,
+    even parity, each edge's parity read by membership in its head set
+    (Hypergraph hosts are all-head)."""
     mixed = "mixed-" if hasattr(host, "arcs") else ""
     if w.kind == mixed + "odd-cycle":
         return (_cycle_sets(host, w.vertices, w.edge_ids)
@@ -269,6 +270,9 @@ def _tree_house_sets(host, w) -> bool:
 
 
 def _parity_sum(host, vertices, edge_ids) -> int:
-    k, heads = len(vertices), host.head_masks
-    return sum((heads[eid] >> vertices[t] & 1) == (heads[eid] >> vertices[(t + 1) % k] & 1)
-               for t, eid in enumerate(edge_ids))
+    k, mixed = len(vertices), hasattr(host, "arcs")
+    total = 0
+    for t, eid in enumerate(edge_ids):
+        heads = set(host.arcs[eid][0] if mixed else host.edges[eid])
+        total += (vertices[t] in heads) == (vertices[(t + 1) % k] in heads)
+    return total

@@ -70,7 +70,7 @@ def test_delta_fig2():
     assert doc["delta"] == 2
 
 
-def test_detect_and_camion():
+def test_detect_and_camion(tmp_path):
     r = run("detect", fixture_path("fig1"), "--json")
     assert r.returncode == 1
     doc = json.loads(r.stdout)
@@ -83,6 +83,17 @@ def test_detect_and_camion():
     assert doc["witness"]["value"] == 10
     r = run("camion", fixture_path("c4"), "--json")
     assert r.returncode == 0
+    # fig5 plus 14 isolated vertices: 19 vertices, 5 left by peeling, which
+    # the mixed criterion's size guard counts
+    doc = json.loads(FIXDIR.joinpath("fig5.json").read_text())
+    doc["vertices"] += [f"i{k}" for k in range(14)]
+    inst = tmp_path / "fig5_padded.json"
+    inst.write_text(json.dumps(doc))
+    r = run("camion", str(inst), "--json")
+    assert r.returncode == 1, r.stderr
+    doc = json.loads(r.stdout)
+    check_schema(doc)
+    assert doc["witness"]["value"] == 2
 
 
 def test_extract_and_verify_cert_round_trip(tmp_path):

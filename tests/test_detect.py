@@ -131,6 +131,27 @@ def test_verify_witness_rejects_corrupted_certificates():
     assert not verify_witness(c3, OddCycleWitness((0, 1), wc.edge_ids[:2]))
 
 
+def test_verify_witness_answers_a_plain_bool_for_any_vertex_id_type():
+    # ids that equal vertex ids name those vertices; ids of any type give a
+    # bool, never a numpy bool or an exception from the parity step
+    c3 = core.fixture("c3")
+    wc = find_odd_cycle(c3)
+    for f in (np.int64, np.int8, float):
+        w = OddCycleWitness(tuple(map(f, wc.vertices)), wc.edge_ids)
+        assert verify_witness(c3, w) is True, f
+        assert verify_witness(c3, OddCycleWitness((f(0), f(1), 0.5), wc.edge_ids)) is False, f
+    for f in (np.int64, np.int8):
+        w = OddCycleWitness(wc.vertices, tuple(map(f, wc.edge_ids)))
+        assert verify_witness(c3, w) is True, f
+    g = core.fixture("fig1")
+    w = find_odd_tree_house(g)
+    for f in (np.int64, np.int8, float):
+        moved = OddTreeHouseWitness(f(w.root), tuple(map(f, w.leaves)),
+                                    tuple(tuple(map(f, p)) for p in w.paths),
+                                    w.path_edge_ids, w.hyperedge_id)
+        assert verify_witness(g, moved) is True, f
+
+
 def _corrupted(host, w, rnd):
     """w and copies of it with vertex ids swapped, repeated, negative, too
     large, not integers or numpy integers, and edge ids repeated, out of

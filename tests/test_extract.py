@@ -53,6 +53,12 @@ def test_size_guard_counts_only_the_vertices_left_by_peeling():
     assert sorted(res.witness.vertices) == [0, 1, 2]
     cam = linalg.camion_unimodular(g)
     assert (cam.witness.vertices, cam.witness.edge_ids, cam.value) == ((0, 1, 2), (0, 1, 2), 6)
+    # the mixed criterion's guard counts the same way: fig5 plus 14 isolated vertices
+    fig5 = core.fixture("fig5")
+    d = core.MixedHypergraph(fig5.names + tuple(f"i{k}" for k in range(14)), fig5.arcs)
+    cam = linalg.camion_unimodular_mixed(d)
+    assert not cam.unimodular and cam.value == 2
+    assert cam.witness == linalg.camion_unimodular_mixed(fig5).witness
 
 
 def test_extract_planted_odd_cycle_with_a_pendant_tree_past_sixteen_vertices():
@@ -94,9 +100,11 @@ def test_size_guard_names_the_peeled_vertex_count():
     edges = [[f"c{i}", f"c{(i + 1) % 17}"] for i in range(17)]
     edges += [["c0", "p0"], ["p0", "p1"], ["c5", "p2"]]
     g = Hypergraph.from_names(names, edges)
-    for run in (extract_witness, find_eulerian_core, linalg.camion_unimodular):
+    d = core.MixedHypergraph(g.names, tuple((e, ()) for e in g.edges))  # all-head copy
+    for run, host in ((extract_witness, g), (find_eulerian_core, g),
+                      (linalg.camion_unimodular, g), (linalg.camion_unimodular_mixed, d)):
         with pytest.raises(SizeGuardError, match="17 vertices left by peeling > 16"):
-            run(g)
+            run(host)
 
 
 def test_extract_rejects_tu_input():

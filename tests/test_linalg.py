@@ -312,16 +312,14 @@ def test_block_walk_matches_the_per_u_reference():
     whole = 0
     for seed in range(400):
         masks, n = _walk_host(seed)
-        peel = seed % 38 < 19
         top = n if n <= 13 else 4
         small = lambda sel: sel[0].bit_count() <= top
         got = list(itertools.islice(itertools.takewhile(
-            small, linalg._eulerian_selections(masks, n, 18, peel)), 20_000))
-        want = list(itertools.islice(eulerian_selections_per_u(masks, n, peel, top), 20_000))
+            small, linalg._eulerian_selections(masks, n, 18)), 20_000))
+        want = list(itertools.islice(eulerian_selections_per_u(masks, n, top=top), 20_000))
         assert got == want, seed
         whole += 12 <= n == top and len(want) < 20_000
-        if peel:
-            peeled_sizes.add(linalg._core_vertices(masks, n).bit_count())
+        peeled_sizes.add(linalg._core_vertices(masks, n).bit_count())
     assert whole >= 20 and peeled_sizes >= {0, 3, 8, 12, 16, 17, 18}
 
 
@@ -349,10 +347,9 @@ def test_whole_walks_to_16_vertices_and_first_layers_to_20_match_the_per_u_refer
              + [_padded_house((3, 5, 5), n, 25_100 + n) for n in (14, 16)] + sparse)
     sizes = set()
     for masks, n in hosts:
-        for peel in (True, False):
-            want = list(eulerian_selections_per_u(masks, n, peel))
-            assert list(linalg._eulerian_selections(masks, n, 63, peel)) == want, (n, peel)
-            sizes.add(linalg._core_vertices(masks, n).bit_count() if peel else n)
+        want = list(eulerian_selections_per_u(masks, n))
+        assert list(linalg._eulerian_selections(masks, n, 63)) == want, n
+        sizes.add(linalg._core_vertices(masks, n).bit_count())
     assert sizes >= {14, 15, 16}
     small = lambda sel: sel[0].bit_count() <= 4
     for n in (19, 20):
@@ -361,13 +358,13 @@ def test_whole_walks_to_16_vertices_and_first_layers_to_20_match_the_per_u_refer
             masks = [1 << i | 1 << (i + 1) % n for i in range(n)] + [
                 sum(1 << v for v in rng.sample(range(n), rng.choice((2, 3, 4))))
                 for _ in range(n // 2)]
-            for peel in (True, False):
-                got = list(itertools.takewhile(small, linalg._eulerian_selections(
-                    masks, n, 63, peel)))
-                assert got == list(eulerian_selections_per_u(masks, n, peel, 4)), (n, seed, peel)
+            got = list(itertools.takewhile(small, linalg._eulerian_selections(masks, n, 63)))
+            assert got == list(eulerian_selections_per_u(masks, n, top=4)), (n, seed)
             assert linalg._core_vertices(masks, n).bit_count() == n
     # |P| = 20: the walk passes every set of up to nine of those vertices
     # before the C9, the smallest core by construction
+    with pytest.raises(ValueError, match=r"n_pairs must be in 0\.\.49"):
+        bipartite_with_c9(14, 60)
     g = bipartite_with_c9(14, 20)
     assert linalg._core_vertices(g.edge_masks, g.n_vertices).bit_count() == 20
     c = find_eulerian_core(g, max_vertices=20)
@@ -652,56 +649,71 @@ def test_delta_at_the_default_guard_is_fast_and_small():
 
 
 def _reference_core_and_camion(g):
-    """(vmap, emap) of the first covering Eulerian selection with |U| = |F|
-    and support 2 mod 4, and (U, F, support) of the first one with support
-    not divisible by four; None where there is none."""
-    masks = g.edge_masks
+    """From the unpeeled per-U walk: (U, F, entry sum) of the first covering
+    Eulerian selection with |U| = |F| and entry sum 2 mod 4, and of the
+    first selection the walk over every vertex set rejects: on an unsigned
+    host, support not divisible by four; on a mixed host, entry sum not
+    divisible by four once arcs with empty trace on U could pad it to
+    |U| = |F|.  None where there is none.  An unsigned host is all-head,
+    so its entry sum is its support."""
+    masks, heads = g.support_masks, g.head_masks
+    tails = getattr(g, "tail_masks", (0,) * len(masks))
+    mixed = hasattr(g, "arcs")
     core_sel = camion = None
     for umask, fmask in eulerian_selections_per_u(masks, g.n_vertices, peel=False):
-        fs = [e for e in range(len(masks)) if fmask >> e & 1]
-        supp = sum((masks[e] & umask).bit_count() for e in fs)
+        fs = tuple(e for e in range(len(masks)) if fmask >> e & 1)
+        us = tuple(v for v in range(g.n_vertices) if umask >> v & 1)
+        total = sum((heads[e] & umask).bit_count() - (tails[e] & umask).bit_count() for e in fs)
         covered = 0
         for e in fs:
             covered |= masks[e] & umask
-        us = tuple(v for v in range(g.n_vertices) if umask >> v & 1)
-        if camion is None and supp % 4:
-            camion = (us, tuple(fs), supp)
-        if core_sel is None and len(fs) == len(us) and covered == umask and supp % 4 == 2:
-            core_sel = (us, tuple(fs))
+        zero_arcs = sum(1 for m in masks if not m & umask)
+        if camion is None and total % 4 and (
+                not mixed or len(fs) <= len(us) <= len(fs) + zero_arcs):
+            camion = (us, fs, total)
+        if core_sel is None and len(fs) == len(us) and covered == umask and total % 4 == 2:
+            core_sel = (us, fs, total)
         if camion is not None and core_sel is not None:
             break
     return core_sel, camion
 
 
-def _padded_host(seed):
-    """A seeded unsigned host of at most 12 vertices: a generated host with
-    pendant trees, isolated vertices and a duplicated edge added, its
-    vertex ids shuffled."""
+def _padded_host(seed, mixed=False):
+    """A seeded host of at most 12 vertices: a generated host with pendant
+    trees, isolated vertices and a duplicated edge added, its vertex ids
+    shuffled.  A mixed host's pendant arcs get random sides."""
     rng = Xoshiro256StarStar(seed)
     g, _ = generate(GenConfig(seed=seed, n_vertices=3 + seed % 5,
                               n_small_edges=2 + seed % 6,
                               proper_edge_sizes=((), (3,), (4,), (3, 3))[seed % 4],
-                              disjoint=seed % 3 != 0))
+                              disjoint=seed % 3 != 0, mixed=mixed))
     n = g.n_vertices
-    edges = [list(e) for e in g.edges]
+    arcs = [(list(h), list(t)) for h, t in g.arcs] if mixed else [(list(e), []) for e in g.edges]
     for _ in range(rng.randrange(3)):  # pendant edges and triples hang off the host
         size = 2 + (rng.randrange(3) == 0)
         if n + size - 1 > 12:
             break
-        edges.append([rng.randrange(n)] + list(range(n, n + size - 1)))
+        vs = [rng.randrange(n)] + list(range(n, n + size - 1))
+        sides = [rng.coin() if mixed else 1 for _ in vs]
+        arcs.append(([v for v, s in zip(vs, sides) if s], [v for v, s in zip(vs, sides) if not s]))
         n += size - 1
     n += rng.randrange(min(2, 12 - n) + 1)  # isolated vertices
-    if edges and rng.randrange(3) == 0:
-        edges.append(list(edges[rng.randrange(len(edges))]))
+    if arcs and rng.randrange(3) == 0:
+        arcs.append(arcs[rng.randrange(len(arcs))])
     perm = list(range(n))
     for i in range(n - 1, 0, -1):
         j = rng.randrange(i + 1)
         perm[i], perm[j] = perm[j], perm[i]
-    return core.Hypergraph(tuple(f"x{i}" for i in range(n)),
-                           tuple(tuple(sorted(perm[v] for v in e)) for e in edges))
+    arcs = [tuple(tuple(sorted(perm[v] for v in side)) for side in arc) for arc in arcs]
+    names = tuple(f"x{i}" for i in range(n))
+    return core.MixedHypergraph(names, tuple(arcs)) if mixed else core.Hypergraph(
+        names, tuple(h for h, _ in arcs))
 
 
 def test_peeled_walk_matches_the_unpeeled_reference():
+    # unsigned hosts: both support-count answers, witness for witness; mixed
+    # hosts: the entry-sum verdict of the walk over every vertex set with
+    # zero-arc padding, and the first covering square selection as witness
     checked = non_tu = peeled = seed = 0
     while checked < 2000:
         seed += 1
@@ -719,7 +731,23 @@ def test_peeled_walk_matches_the_unpeeled_reference():
         else:
             assert (got.witness.vertices, got.witness.edge_ids, got.value) == want_camion, seed
             c = find_eulerian_core(g)
-            assert (c.vmap, c.emap) == want_core, seed
+            assert (c.vmap, c.emap) == want_core[:2], seed
             non_tu += 1
         checked += 1
     assert non_tu > 800 and peeled > 1000
+    checked = non_tu = peeled = seed = 0
+    while checked < 1000:
+        seed += 1
+        try:
+            d = _padded_host(920_000 + seed, mixed=True)
+        except InputError:
+            continue
+        peeled += linalg._core_vertices(d.support_masks, d.n_vertices) != (1 << d.n_vertices) - 1
+        want_core, want_camion = _reference_core_and_camion(d)
+        got = linalg.camion_unimodular_mixed(d)
+        assert got.unimodular == (want_camion is None), seed
+        if not got.unimodular:
+            assert (got.witness.vertices, got.witness.edge_ids, got.value) == want_core, seed
+            non_tu += 1
+        checked += 1
+    assert 300 < non_tu < 900 and peeled > 500
