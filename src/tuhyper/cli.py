@@ -5,6 +5,10 @@ Exit codes: 0 = answered (no violation), 1 = a property violation was found
 error, 3 = size guard or search budget exceeded, 70 = internal failure (a
 machine-checked extraction step failed, or any other unexpected error;
 please report it).
+
+Only `core` and `detect` load with this module.  Each command imports the
+other layers it needs in its own body, so `check` on a disjoint host,
+`check --verify-cert`, `detect` and `gen` never load numpy.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ import json
 import os
 import sys
 
-from . import core, detect, extract, gen, linalg, mixed
+from . import core, detect
 from .errors import (
     BudgetExceededError,
     InputError,
@@ -84,6 +88,8 @@ def _cmd_check(args) -> int:
         decision = detect._decide(instance, args.max_nodes)
         method = "forbidden-structure"
     else:
+        from . import linalg
+
         decision = detect.Decision(
             tu=linalg.is_tu_bruteforce(core.incidence_matrix(instance), args.max_order)
         )
@@ -104,6 +110,8 @@ def _cmd_check(args) -> int:
 
 def _cmd_delta(args) -> int:
     instance = _load(args.input)
+    from . import linalg
+
     m = core.incidence_matrix(instance)
     res = linalg.max_abs_subdet(m, cap=args.cap, max_dimension_sum=args.max_order)
     doc = {
@@ -132,6 +140,8 @@ def _cmd_extract(args) -> int:
     instance = _load(args.input)
     if not isinstance(instance, core.Hypergraph):
         raise InputError("extract works on unsigned hypergraph instances")
+    from . import extract
+
     result = extract.extract_witness(instance, args.max_nodes)
     doc = {
         "command": "extract",
@@ -151,6 +161,8 @@ def _cmd_extract(args) -> int:
 
 def _cmd_camion(args) -> int:
     instance = _load(args.input)
+    from . import linalg
+
     if isinstance(instance, core.MixedHypergraph):
         res = linalg.camion_unimodular_mixed(instance)
     else:
@@ -172,6 +184,8 @@ def _cmd_camion(args) -> int:
 
 def _cmd_reduce(args) -> int:
     instance = _load(args.input)
+    from . import mixed
+
     if isinstance(instance, core.Hypergraph):
         instance = core.as_mixed(instance)
     hyper, transcript = mixed.normalize_to_hypergraph(instance)
@@ -187,6 +201,8 @@ def _cmd_reduce(args) -> int:
 
 def _cmd_build_r(args) -> int:
     instance = _load(args.input)
+    from . import linalg, mixed
+
     if isinstance(instance, core.Hypergraph):
         instance = core.as_mixed(instance)
     cls = mixed.classify_almost_tu_disjoint(instance)
@@ -208,7 +224,9 @@ def _cmd_build_r(args) -> int:
     return 0
 
 
-def _parse_plant(text: str) -> gen.Plant:
+def _parse_plant(text: str):
+    from . import gen
+
     kind, _, rest = text.partition(":")
     if kind in ("odd-cycle", "mixed-odd-cycle"):
         return gen.Plant(kind, length=int(rest))
@@ -222,6 +240,8 @@ def _parse_plant(text: str) -> gen.Plant:
 
 
 def _cmd_gen(args) -> int:
+    from . import gen
+
     try:
         plant = _parse_plant(args.plant) if args.plant else None
         sizes = tuple(int(x) for x in args.proper_sizes.split(",") if x)
@@ -246,6 +266,8 @@ def _cmd_gen(args) -> int:
 
 
 def _selftest_checks():
+    from . import linalg, mixed
+
     fig1 = core.fixture("fig1")
     fig2 = core.fixture("fig2")
     fig4l = core.fixture("fig4-left")
@@ -360,7 +382,7 @@ def _build_parser() -> argparse.ArgumentParser:
                                  "reachability tests expand, and the edges and BFS states "
                                  "of its split walk; graph hosts are decided in polynomial "
                                  "time without it"),
-        "--max-order": dict(type=_positive_int, default=linalg.DEFAULT_MAX_DIMENSION_SUM,
+        "--max-order": dict(type=_positive_int, default=core.DEFAULT_MAX_DIMENSION_SUM,
                             help="rows+cols guard for exhaustive enumerations"),
     }
 

@@ -17,13 +17,15 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from importlib import resources
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import InputError
 
+if TYPE_CHECKING:  # at run time numpy loads inside the functions that use it
+    import numpy as np
+
 __all__ = [
+    "DEFAULT_MAX_DIMENSION_SUM",
     "Hypergraph",
     "MixedHypergraph",
     "SubSelection",
@@ -41,6 +43,12 @@ __all__ = [
     "load_instance",
     "instance_to_dict",
 ]
+
+
+# Exhaustive submatrix enumeration (`linalg`) is exponential; reject inputs
+# whose rows+cols exceed this unless the caller raises the guard explicitly.
+# It lives here so that the command line reads it without loading numpy.
+DEFAULT_MAX_DIMENSION_SUM = 22
 
 
 def _mask(vertex_ids) -> int:
@@ -287,6 +295,8 @@ class Induced:
 
 def incidence_matrix(g) -> np.ndarray:
     """Vertex-by-edge incidence matrix; +1 heads, -1 tails, read-only int64."""
+    import numpy as np
+
     if isinstance(g, Hypergraph):
         m = np.zeros((g.n_vertices, g.n_edges), dtype=np.int64)
         for j, edge in enumerate(g.edges):
@@ -351,6 +361,8 @@ def is_eulerian(g) -> bool:
 
 def support_size(m: np.ndarray) -> int:
     """Number of nonzero entries."""
+    import numpy as np
+
     return int(np.count_nonzero(np.asarray(m)))
 
 
@@ -361,6 +373,8 @@ def as_mixed(g: Hypergraph) -> MixedHypergraph:
 
 def mixed_from_matrix(m: np.ndarray, names=None) -> MixedHypergraph:
     """Mixed hypergraph whose incidence matrix is the given {0,+-1} matrix."""
+    import numpy as np
+
     m = np.asarray(m)
     if m.ndim != 2:
         raise InputError("incidence matrix must be two-dimensional")
@@ -443,6 +457,8 @@ def instance_to_dict(g) -> dict:
 
 def fixture(name: str) -> Hypergraph | MixedHypergraph:
     """Load one of the named instances shipped with the package."""
+    from importlib import resources
+
     key = name.lower().replace("_", "-")
     if key not in FIXTURE_NAMES:
         raise InputError(f"unknown fixture {name!r}; choose from {', '.join(FIXTURE_NAMES)}")

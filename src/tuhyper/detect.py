@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from operator import itemgetter
+from operator import index, itemgetter
 from typing import NamedTuple
 
 from .core import Hypergraph, MixedHypergraph, _bits, _unite, overlapping_proper_edges
@@ -787,17 +787,26 @@ def verify_witness(host, w) -> bool:
     quad) of vertex bits.  A cycle must have odd parity; each path of a
     tree house, closed by the size-4 edge, must have even parity.  On an
     unsigned host every parity is a length, so the cycle is odd and the
-    paths have odd edge counts.
+    paths have odd edge counts.  An edge id must be an integer, as
+    `operator.index` reads one (a numpy integer is); any other value names
+    no edge.
     """
     if type(w) not in _WITNESS_CLASSES.values():
         raise InputError(f"unknown witness type {type(w).__name__}")
     kind = _KINDS.get(type(host))
-    if kind is None:
+    if kind is None or type(w) not in (kind.cycle, kind.tree_house):
         return False
-    if type(w) is kind.cycle:
+    cycle = type(w) is kind.cycle
+    try:
+        for eid in (w.edge_ids if cycle
+                    else (w.hyperedge_id, *itertools.chain.from_iterable(w.path_edge_ids))):
+            index(eid)
+    except TypeError:
+        return False
+    if cycle:
         return (_check_cycle(host, w.vertices, w.edge_ids)
                 and _path_parity(host, w.vertices, w.edge_ids) % 2 == 1)
-    if type(w) is not kind.tree_house or not _check_tree_house(host, w):
+    if not _check_tree_house(host, w):
         return False
     # a path runs from the root to its leaf, so the size-4 edge closes it cyclically
     return all(_path_parity(host, path, (*ids, w.hyperedge_id)) % 2 == 0

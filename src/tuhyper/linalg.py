@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Hypergraph, MixedHypergraph, SubSelection, _bits, _expect, _unite
+from .core import (DEFAULT_MAX_DIMENSION_SUM, Hypergraph, MixedHypergraph, SubSelection, _bits,
+                   _expect, _unite)
 from .errors import InputError, SizeGuardError
 
 __all__ = [
@@ -34,10 +35,6 @@ __all__ = [
     "camion_unimodular_mixed",
     "DEFAULT_MAX_DIMENSION_SUM",
 ]
-
-# Exhaustive submatrix enumeration is exponential; reject inputs whose
-# rows+cols exceed this unless the caller raises the guard explicitly.
-DEFAULT_MAX_DIMENSION_SUM = 22
 
 
 def _integer_entries(m, shape_error: str) -> np.ndarray:

@@ -222,8 +222,13 @@ def verify_witness_sets(host, w) -> bool:
     pair, or for the size-4 edge of a tree house its quad.  A cycle must
     have odd parity and each tree-house path, closed by the size-4 edge,
     even parity, each edge's parity read by membership in its head set
-    (Hypergraph hosts are all-head)."""
+    (Hypergraph hosts are all-head).  An edge id must be a value with an
+    `__index__` method (a Python or numpy integer); any other names no edge."""
     mixed = "mixed-" if hasattr(host, "arcs") else ""
+    ids = (w.edge_ids if w.kind.endswith("cycle")
+           else (w.hyperedge_id, *itertools.chain.from_iterable(w.path_edge_ids)))
+    if not all(hasattr(type(eid), "__index__") for eid in ids):
+        return False
     if w.kind == mixed + "odd-cycle":
         return (_cycle_sets(host, w.vertices, w.edge_ids)
                 and _parity_sum(host, w.vertices, w.edge_ids) % 2 == 1)

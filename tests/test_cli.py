@@ -13,13 +13,16 @@ FIXDIR = resources.files("tuhyper").joinpath("data")
 SCHEMA = json.loads(FIXDIR.joinpath("output_schema.json").read_text())
 
 
-def run(*args, **kw):
+def _env():
     # the CLI runs from the source tree of the package imported here
     src = os.path.dirname(os.path.dirname(core.__file__))
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    env = dict(os.environ, TUHYPER_NO_COLOR="1", PYTHONPATH=path)
+    return dict(os.environ, TUHYPER_NO_COLOR="1", PYTHONPATH=path)
+
+
+def run(*args, **kw):
     return subprocess.run([sys.executable, "-m", "tuhyper.cli", *args],
-                          capture_output=True, text=True, env=env, **kw)
+                          capture_output=True, text=True, env=_env(), **kw)
 
 
 def fixture_path(name: str) -> str:
@@ -221,7 +224,7 @@ def _assert_input_error(r):
     assert "Traceback" not in r.stderr
 
 
-def test_malformed_instances_are_input_errors(tmp_path):
+def test_malformed_instances_are_input_errors(tmp_path, capsys):
     # a string in place of a list would load as one-character names
     for name, doc in (("arcs-as-lists", {"vertices": ["a", "b"], "arcs": [[["a"], ["b"]]]}),
                       ("edges-not-a-list", {"vertices": ["a", "b"], "edges": 5}),
@@ -261,6 +264,11 @@ def test_malformed_instances_are_input_errors(tmp_path):
         p = tmp_path / f"{name}.json"
         p.write_text(json.dumps(doc))
         _assert_input_error(run("check", str(p)))
+        # every other subcommand validates the document before its layer runs
+        for command in ("detect", "delta", "extract", "camion", "reduce", "build-r"):
+            assert cli.main([command, str(p)]) == 2, (name, command)
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and "Traceback" not in err, (name, command)
 
 
 def test_unreadable_or_malformed_certificate_is_input_error(tmp_path):
@@ -294,3 +302,57 @@ def test_unexpected_errors_exit_70_without_a_traceback(monkeypatch, capsys):
     monkeypatch.setattr(detect, "_decide", crash)
     assert cli.main(["check", fixture_path("fig1")]) == 70
     assert capsys.readouterr().err == "internal error: RuntimeError: boom\n"
+
+
+# What `import tuhyper` exported before its names loaded on first access,
+# by defining module; the modules and `quasi` were attributes of the package too.
+_EXPORTS = {
+    "core": ("Hypergraph", "MixedHypergraph", "SubSelection", "as_mixed", "fixture",
+             "incidence_matrix", "induce", "is_disjoint", "is_eulerian", "load_instance",
+             "mixed_from_matrix", "support_size"),
+    "detect": ("MixedOddCycleWitness", "MixedOddTreeHouseWitness", "OddCycleWitness",
+               "OddTreeHouseWitness", "compute_ocp", "decide_unimodular_disjoint",
+               "decide_unimodular_mixed_disjoint", "find_mixed_odd_cycle",
+               "find_mixed_odd_tree_house", "find_odd_cycle", "find_odd_tree_house",
+               "verify_witness"),
+    "extract": ("extract_witness",),
+    "gen": ("GenConfig", "Plant", "Xoshiro256StarStar", "generate"),
+    "linalg": ("camion_unimodular", "camion_unimodular_mixed", "det_exact", "is_almost_tu",
+               "is_tu_bruteforce", "max_abs_subdet"),
+    "mixed": ("build_r_matrix", "classify_almost_tu_disjoint", "even_cycle_nullvector",
+              "normalize_to_hypergraph"),
+}
+
+_STARTUP = """
+import importlib, json, sys
+import tuhyper, tuhyper.cli
+data, cert, exports = sys.argv[1], sys.argv[2], json.loads(sys.argv[3])
+main = tuhyper.cli.main
+codes = [main(["check", f"{data}/{name}.json"]) for name in ("c3", "c4", "fig1", "fig5", "dir4")]
+codes += [main(["detect", f"{data}/fig1.json"]),
+          main(["check", f"{data}/fig1.json", "--verify-cert", cert])]
+loaded = [m for m in ("numpy", "tuhyper.linalg", "tuhyper.mixed", "tuhyper.extract")
+          if m in sys.modules]
+names = [name for names in exports.values() for name in names]
+unlisted = sorted(set(names) - set(dir(tuhyper)) | set(names) - set(tuhyper.__all__))
+wrong = [name for mod, names in exports.items() for name in names
+         if getattr(tuhyper, name) is not getattr(importlib.import_module("tuhyper." + mod), name)]
+wrong += [mod for mod in (*exports, "quasi")
+          if getattr(tuhyper, mod) is not sys.modules["tuhyper." + mod]]
+print(json.dumps({"codes": codes, "loaded": loaded, "unlisted": unlisted, "wrong": wrong,
+                  "unknown": hasattr(tuhyper, "no_such_name")}))
+"""
+
+
+def test_start_up_and_disjoint_decisions_never_load_numpy(tmp_path):
+    fig1 = core.fixture("fig1")
+    cert = tmp_path / "fig1-witness.json"
+    cert.write_text(json.dumps(detect.witness_to_dict(
+        fig1, detect.decide_unimodular_disjoint(fig1).witness)))
+    r = subprocess.run([sys.executable, "-c", _STARTUP, str(FIXDIR), str(cert),
+                        json.dumps(_EXPORTS)],
+                       capture_output=True, text=True, env=_env())
+    assert r.returncode == 0, r.stderr
+    got = json.loads(r.stdout.splitlines()[-1])
+    assert got == {"codes": [1, 0, 1, 1, 0, 1, 0], "loaded": [], "unlisted": [], "wrong": [],
+                   "unknown": False}

@@ -152,6 +152,23 @@ def test_verify_witness_answers_a_plain_bool_for_any_vertex_id_type():
         assert verify_witness(g, moved) is True, f
 
 
+def test_verify_witness_reads_a_non_integer_edge_id_as_false():
+    # an edge id that operator.index refuses names no edge; numpy integers do
+    c3 = core.fixture("c3")
+    wc = find_odd_cycle(c3)
+    assert wc.edge_ids == (0, 1, 2)
+    for ids in ((0.0, 1.0, 2.0), (0, 1, 2.5), tuple(map(np.float64, wc.edge_ids))):
+        w = OddCycleWitness(wc.vertices, ids)
+        assert verify_witness(c3, w) is False and verify_witness_sets(c3, w) is False, ids
+    w = OddCycleWitness(wc.vertices, tuple(map(np.int64, wc.edge_ids)))
+    assert verify_witness(c3, w) is True and verify_witness_sets(c3, w) is True
+    g = core.fixture("fig1")
+    w = find_odd_tree_house(g)
+    for bad in (dataclasses.replace(w, hyperedge_id=float(w.hyperedge_id)),
+                dataclasses.replace(w, path_edge_ids=((0.0,), *w.path_edge_ids[1:]))):
+        assert verify_witness(g, bad) is False and verify_witness_sets(g, bad) is False
+
+
 def _corrupted(host, w, rnd):
     """w and copies of it with vertex ids swapped, repeated, negative, too
     large, not integers or numpy integers, and edge ids repeated, out of
